@@ -330,6 +330,14 @@ impl<N: FlowNum> ArenaNetwork<N> {
         }
     }
 
+    /// After a [`Self::max_flow`] call that returned, whether its final BFS
+    /// (the one that no longer reached the sink) reached `v`. Those nodes
+    /// are the set [`Self::residual_reachable`] computes, read without
+    /// another traversal. Stale once any capacity or flow changes.
+    pub fn reached_by_final_bfs(&self, v: usize) -> bool {
+        self.level.get(v).is_some_and(|&l| l != NONE)
+    }
+
     /// After [`Self::max_flow`], marks the nodes reachable from `source` in
     /// the residual graph — the source side of a minimum cut. The interval
     /// nodes on this side are exactly the Theorem-1 witness intervals the
@@ -469,6 +477,16 @@ mod tests {
         for h in cut {
             assert_eq!(net.flow(h), net.capacity(h));
         }
+        // The final BFS saw exactly the residual-reachable side, also after
+        // a resumed flow on raised capacities.
+        let final_bfs = |net: &ArenaNetwork<u64>| -> Vec<bool> {
+            (0..4).map(|v| net.reached_by_final_bfs(v)).collect()
+        };
+        assert_eq!(final_bfs(&net), net.residual_reachable(0));
+        let e = net.add_edge(0, 3, 1);
+        net.raise_capacity(e, 4);
+        assert_eq!(net.max_flow(0, 3), 4);
+        assert_eq!(final_bfs(&net), net.residual_reachable(0));
     }
 
     #[test]

@@ -92,12 +92,15 @@ impl IntervalSet {
         s
     }
 
-    /// Builds from arbitrary (possibly overlapping, unsorted) intervals.
+    /// Builds from arbitrary (possibly overlapping, unsorted) intervals:
+    /// one sort by start, then one merging sweep, so `O(k log k)` for `k`
+    /// intervals. The result equals inserting them one at a time.
     pub fn from_intervals<I: IntoIterator<Item = Interval>>(ivs: I) -> Self {
-        let mut s = IntervalSet::empty();
-        for iv in ivs {
-            s.insert(iv);
-        }
+        let mut s = IntervalSet {
+            parts: ivs.into_iter().collect(),
+        };
+        s.parts.sort_by(|a, b| a.start.cmp(&b.start));
+        s.normalize();
         s
     }
 
@@ -155,11 +158,7 @@ impl IntervalSet {
 
     /// Set union.
     pub fn union(&self, other: &IntervalSet) -> IntervalSet {
-        let mut s = self.clone();
-        for p in &other.parts {
-            s.insert(p.clone());
-        }
-        s
+        IntervalSet::from_intervals(self.parts.iter().chain(&other.parts).cloned())
     }
 
     /// Set intersection.

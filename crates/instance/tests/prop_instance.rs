@@ -14,6 +14,20 @@ fn set_of(v: &[(i64, i64)]) -> IntervalSet {
     IntervalSet::from_intervals(v.iter().map(|&(a, b)| Interval::ints(a, b)))
 }
 
+/// Multisets of intervals on a coarse grid of denominator 1, 2, or 3: zero
+/// lengths give empty intervals, and the small grid makes touching, nested,
+/// and duplicate members common. `(start, length, denominator, repeats)`.
+fn arb_grid_intervals() -> impl Strategy<Value = Vec<Interval>> {
+    proptest::collection::vec((0i64..12, 0i64..6, 1i64..4, 1usize..3), 0..16).prop_map(|raw| {
+        raw.into_iter()
+            .flat_map(|(a, w, den, repeats)| {
+                let iv = Interval::new(Rat::ratio(a, den), Rat::ratio(a + w, den));
+                std::iter::repeat_n(iv, repeats)
+            })
+            .collect()
+    })
+}
+
 proptest! {
     /// Union is commutative, associative, idempotent; length is monotone.
     #[test]
@@ -50,6 +64,22 @@ proptest! {
         for p in s.parts() {
             prop_assert!(!p.is_empty());
         }
+    }
+
+    /// The sort-once build equals inserting the same intervals one at a
+    /// time, in the given order and in reverse.
+    #[test]
+    fn from_intervals_equals_insert_fold(ivs in arb_grid_intervals()) {
+        let fold = |ivs: &mut dyn Iterator<Item = Interval>| {
+            let mut s = IntervalSet::empty();
+            for iv in ivs {
+                s.insert(iv);
+            }
+            s
+        };
+        let built = IntervalSet::from_intervals(ivs.iter().cloned());
+        prop_assert_eq!(&built, &fold(&mut ivs.iter().cloned()));
+        prop_assert_eq!(&built, &fold(&mut ivs.iter().rev().cloned()));
     }
 
     /// Canonicalization is idempotent: rebuilding an instance from its own

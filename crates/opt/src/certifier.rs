@@ -36,10 +36,12 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use mm_instance::{Instance, StructureClass};
+use mm_fault::{Budget, BudgetExceeded};
+use mm_instance::{Instance, IntervalSet, StructureClass};
 use mm_numeric::{Rat, Timeline};
+use mm_trace::{NoopSink, TraceEvent, TraceSink};
 
-use crate::feasibility::FeasibilityProber;
+use crate::feasibility::{BudgetedSearch, FeasibilityProber, ProberStats, Verdict};
 
 /// Which decision procedure answered a feasibility question.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -78,7 +80,11 @@ impl DecisionPath {
 /// consumers (the online portfolio, reports) share one notion of class
 /// membership instead of re-deriving it from [`Instance::classify`].
 pub fn classify_path(instance: &Instance) -> DecisionPath {
-    match instance.classify() {
+    path_of(instance.classify())
+}
+
+fn path_of(class: StructureClass) -> DecisionPath {
+    match class {
         StructureClass::Agreeable | StructureClass::Both => DecisionPath::Agreeable,
         StructureClass::Laminar => DecisionPath::Laminar,
         StructureClass::General => DecisionPath::Flow,
@@ -624,6 +630,11 @@ where
 /// settles. Verdicts are identical to [`crate::feasible_on`] on every
 /// instance — by construction on the witness paths, trivially on the
 /// flow paths — and the property suite re-verifies this end to end.
+///
+/// It is also the one budgeted decider: only flow probes are charged to a
+/// [`Budget`], and the decider keeps the evidence of its flows, so a proof
+/// of its answer is read off it ([`crate::proof_for_solve_from`]) instead
+/// of being re-solved.
 pub struct FastProber<'a> {
     instance: &'a Instance,
     class: StructureClass,
@@ -644,6 +655,11 @@ pub struct FastProber<'a> {
     /// verdict is a statement about real feasibility.
     infeasible_below: u64,
     feasible_from: u64,
+    /// The last machine count a flow proved infeasible, with the
+    /// elementary intervals on the source side of that flow's minimum cut.
+    /// The cache only lets a flow probe above every refuted count, so this
+    /// is the largest count any flow refuted.
+    flow_cut: Option<(u64, Vec<bool>)>,
     dispatch: DispatchStats,
 }
 
@@ -651,7 +667,7 @@ impl<'a> FastProber<'a> {
     /// Classifies `instance` and prepares the matching decision path.
     pub fn new(instance: &'a Instance) -> Self {
         let class = instance.classify();
-        let path = classify_path(instance);
+        let path = path_of(class);
         let backend = match path {
             DecisionPath::Flow => None,
             _ => Some(build_backend(instance)),
@@ -674,8 +690,14 @@ impl<'a> FastProber<'a> {
             volume_bound,
             infeasible_below: volume_bound.max(budget_bound),
             feasible_from: u64::MAX,
+            flow_cut: None,
             dispatch: DispatchStats::default(),
         }
+    }
+
+    /// The instance this decider answers for.
+    pub(crate) fn instance(&self) -> &'a Instance {
+        self.instance
     }
 
     /// The instance's structure class.
@@ -693,10 +715,29 @@ impl<'a> FastProber<'a> {
         self.dispatch
     }
 
+    /// Work counters of the flow prober (all zero if no flow has run).
+    pub fn flow_stats(&self) -> ProberStats {
+        self.prober
+            .as_ref()
+            .map(FeasibilityProber::stats)
+            .unwrap_or_default()
+    }
+
     /// The Theorem-1 lower bound on `m(J)` known without probing (volume
     /// density, plus nesting-forest budgets on laminar instances).
     pub fn lower_bound(&self) -> u64 {
         self.volume_bound.max(self.budget_bound)
+    }
+
+    /// The certified bracket `[lo, hi]` around `m(J)` from everything
+    /// decided so far: the lower bounds and refuted counts below, proven
+    /// feasible counts and one machine per job above.
+    pub fn bracket(&self) -> (u64, u64) {
+        if self.jobs == 0 {
+            return (0, 0);
+        }
+        let n = self.jobs as u64;
+        (self.infeasible_below.max(1), self.feasible_from.min(n))
     }
 
     /// Whether certifier arithmetic runs on integer ticks (for the flow
@@ -709,19 +750,30 @@ impl<'a> FastProber<'a> {
         }
     }
 
-    fn flow_prober(&mut self) -> &mut FeasibilityProber {
-        if self.prober.is_none() {
-            self.prober = Some(FeasibilityProber::new(self.instance));
+    /// The flow prober, built on first use. Proof building reuses it: its
+    /// read-back calls reset the flow, so they match a fresh build exactly.
+    pub(crate) fn flow_prober(&mut self) -> &mut FeasibilityProber {
+        self.prober
+            .get_or_insert_with(|| FeasibilityProber::new(self.instance))
+    }
+
+    /// The Theorem-1 witness against `m` read from the minimum cut of this
+    /// decider's own maximum flow at `m`, when a flow refuted exactly `m`.
+    /// The source side of a minimum cut is the same for every maximum flow,
+    /// so this equals [`FeasibilityProber::infeasible_witness`] on a fresh
+    /// build.
+    pub fn flow_witness(&self, m: u64) -> Option<IntervalSet> {
+        match (&self.flow_cut, &self.prober) {
+            (Some((at, cut)), Some(prober)) if *at == m => prober.witness_of(cut),
+            _ => None,
         }
-        self.prober.as_mut().expect("just built")
     }
 
     /// Runs only the certifier engines (monotone cache, lower bounds,
     /// sweep witnesses, blame windows): `Some(verdict)` when a witness
     /// settles the probe, `None` when only the flow oracle could decide
     /// (general instances, or a structured probe in the certifier gap).
-    /// Never builds a flow network, so service layers can try this first
-    /// and keep their budgeted flow path for the `None`s.
+    /// Never builds a flow network.
     pub fn try_certify(&mut self, m: u64) -> Option<bool> {
         if self.jobs == 0 {
             self.bump_certified(); // vacuous witness, no engine ran
@@ -759,8 +811,23 @@ impl<'a> FastProber<'a> {
     /// Decides feasibility on `m` machines — same answer as
     /// [`crate::feasible_on`], at certifier cost where the class allows.
     pub fn feasible(&mut self, m: u64) -> bool {
-        if let Some(verdict) = self.try_certify(m) {
-            return verdict;
+        self.decide_budgeted_traced(m, &Budget::unlimited(), NoopSink)
+            .decided()
+            .expect("unlimited budget never trips")
+    }
+
+    /// Decides feasibility on `m` machines under `budget`: the certifier
+    /// engines first, charged nothing, then a flow probe under `budget`
+    /// whose events go to `sink`. [`Verdict::Unknown`] means the budget
+    /// tripped first, and nothing was learned.
+    pub fn decide_budgeted_traced<S: TraceSink>(
+        &mut self,
+        m: u64,
+        budget: &Budget,
+        sink: S,
+    ) -> Verdict {
+        if let Some(feasible) = self.try_certify(m) {
+            return Verdict::from_bool(feasible);
         }
         if self.path == DecisionPath::Flow {
             self.dispatch.flow += 1;
@@ -768,8 +835,14 @@ impl<'a> FastProber<'a> {
             // Certifier gap: no witness either way — the flow decides.
             self.dispatch.rescued += 1;
         }
-        let verdict = self.flow_prober().probe(m);
-        self.record(m, verdict);
+        let prober = self.flow_prober();
+        let verdict = prober.probe_budgeted_traced(m, budget, sink);
+        if verdict == Verdict::Infeasible {
+            self.flow_cut = Some((m, prober.cut_intervals()));
+        }
+        if let Some(feasible) = verdict.decided() {
+            self.record(m, feasible);
+        }
         verdict
     }
 
@@ -793,19 +866,60 @@ impl<'a> FastProber<'a> {
     /// search over [`Self::feasible`]. Identical to
     /// [`crate::optimal_machines`] on every instance.
     pub fn optimal_machines(&mut self) -> u64 {
+        self.optimal_machines_budgeted_traced(&Budget::unlimited(), NoopSink)
+            .exact
+            .expect("unlimited budget never trips")
+    }
+
+    /// [`Self::optimal_machines`] with every flow probe under `budget` and
+    /// reported to `sink`, with each bracket update. Certifier verdicts are
+    /// never charged to the budget. The search stops at the first flow
+    /// probe the budget cancels and returns the certified
+    /// [`Self::bracket`], which always lies within `[max(vlb, 1), n]`.
+    pub fn optimal_machines_budgeted_traced<S: TraceSink>(
+        &mut self,
+        budget: &Budget,
+        mut sink: S,
+    ) -> BudgetedSearch {
         if self.jobs == 0 {
-            return 0;
+            return BudgetedSearch::exact_at(0);
         }
-        let mut lo = self.volume_bound.max(self.budget_bound).max(1);
-        if self.feasible(lo) {
-            return lo;
+        match self.search(budget, &mut sink) {
+            Ok(m) => BudgetedSearch::exact_at(m),
+            Err(e) => {
+                if sink.enabled() {
+                    sink.record(&TraceEvent::BudgetExceeded {
+                        site: "search",
+                        reason: e.tag(),
+                    });
+                }
+                let (lo, hi) = self.bracket();
+                BudgetedSearch {
+                    lo,
+                    hi,
+                    exact: None,
+                    exceeded: Some(e),
+                    unknown_probes: 1,
+                }
+            }
+        }
+    }
+
+    fn search<S: TraceSink>(
+        &mut self,
+        budget: &Budget,
+        sink: &mut S,
+    ) -> Result<u64, BudgetExceeded> {
+        let mut lo = self.lower_bound().max(1);
+        if self.step(lo, budget, sink)? {
+            return Ok(lo);
         }
         // Exponential escalation: certifier probes are cheap and the gap
         // between the volume bound and the optimum is small in practice,
         // so doubling beats jumping straight to the `n` upper bound.
         let mut hi = lo.saturating_mul(2);
         let n = self.jobs as u64;
-        while hi < n && !self.feasible(hi) {
+        while hi < n && !self.step(hi, budget, sink)? {
             lo = hi;
             hi = hi.saturating_mul(2);
         }
@@ -813,13 +927,33 @@ impl<'a> FastProber<'a> {
         // invariant: infeasible(lo), feasible(hi)
         while hi - lo > 1 {
             let mid = lo + (hi - lo) / 2;
-            if self.feasible(mid) {
+            if self.step(mid, budget, sink)? {
                 hi = mid;
             } else {
                 lo = mid;
             }
         }
-        hi
+        Ok(hi)
+    }
+
+    /// One search step: a decision, then the bracket it leaves, reported
+    /// as the largest refuted and the smallest feasible count.
+    fn step<S: TraceSink>(
+        &mut self,
+        m: u64,
+        budget: &Budget,
+        sink: &mut S,
+    ) -> Result<bool, BudgetExceeded> {
+        let verdict = self.decide_budgeted_traced(m, budget, &mut *sink);
+        let feasible = match verdict {
+            Verdict::Unknown(e) => return Err(e),
+            decided => decided == Verdict::Feasible,
+        };
+        if sink.enabled() {
+            let (lo, hi) = self.bracket();
+            sink.record(&TraceEvent::BinarySearchStep { lo: lo - 1, hi });
+        }
+        Ok(feasible)
     }
 }
 

@@ -28,6 +28,8 @@ use mm_instance::{Instance, Interval, IntervalSet, JobId};
 use mm_numeric::{Rat, Timeline};
 use mm_trace::{NoopSink, TraceEvent, TraceSink};
 
+use crate::certifier::FastProber;
+
 /// Outcome of a budgeted feasibility probe.
 ///
 /// A cancelled probe is *not* evidence of infeasibility: the network holds a
@@ -652,16 +654,42 @@ impl FeasibilityProber {
         if self.probe(m) {
             return None;
         }
-        let seen = match &self.backend {
-            Backend::Ticks { core, .. } => core.net.residual_reachable(self.source),
-            Backend::Exact { core } => core.net.residual_reachable(self.source),
+        self.witness_of(&self.cut_intervals())
+    }
+
+    /// Right after a network probe that came back infeasible: which
+    /// elementary intervals lie on the source side of the minimum cut of
+    /// its maximum flow. That side is the same for every maximum flow at
+    /// the probed count, so the flags equal those of a fresh build. Read
+    /// from the flow's final BFS; stale after the next probe.
+    pub(crate) fn cut_intervals(&self) -> Vec<bool> {
+        let base = 1 + self.jobs;
+        let reached = |v: usize| match &self.backend {
+            Backend::Ticks { core, .. } => core.net.reached_by_final_bfs(v),
+            Backend::Exact { core } => core.net.reached_by_final_bfs(v),
         };
+        let flags: Vec<bool> = (0..self.intervals.len())
+            .map(|ki| reached(base + ki))
+            .collect();
+        debug_assert_eq!(
+            flags,
+            match &self.backend {
+                Backend::Ticks { core, .. } => core.net.residual_reachable(self.source),
+                Backend::Exact { core } => core.net.residual_reachable(self.source),
+            }[base..base + self.intervals.len()]
+        );
+        flags
+    }
+
+    /// The Theorem-1 witness of a minimum cut: the union of the elementary
+    /// intervals [`Self::cut_intervals`] flagged.
+    pub(crate) fn witness_of(&self, cut: &[bool]) -> Option<IntervalSet> {
         let witness = IntervalSet::from_intervals(
             self.intervals
                 .iter()
-                .enumerate()
-                .filter(|(ki, _)| seen[1 + self.jobs + ki])
-                .map(|(_, iv)| iv.clone()),
+                .zip(cut)
+                .filter(|(_, &on_source_side)| on_source_side)
+                .map(|(iv, _)| iv.clone()),
         );
         // Mathematically nonempty for a failed flow (an all-job cut would
         // equal the demand); guard anyway so a `Some` is always a witness.
@@ -736,9 +764,9 @@ pub fn optimal_machines_traced<S: TraceSink>(instance: &Instance, mut sink: S) -
 /// optimum, exact when the search finished within budget.
 ///
 /// The invariant `lo ≤ m(J) ≤ hi` always holds: `lo` is certified by the
-/// volume lower bound and by probes that proved `lo − 1` infeasible, and
-/// `hi` by the one-machine-per-job bound `n` and by probes that proved `hi`
-/// feasible. Cancelled (Unknown) probes never move either end.
+/// Theorem-1 lower bounds and by verdicts that proved `lo − 1` infeasible,
+/// and `hi` by the one-machine-per-job bound `n` and by verdicts that proved
+/// `hi` feasible. Cancelled (Unknown) flow probes never move either end.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BudgetedSearch {
     /// Certified lower bound on the optimum.
@@ -764,7 +792,7 @@ impl BudgetedSearch {
         self.hi - self.lo
     }
 
-    fn exact_at(m: u64) -> Self {
+    pub(crate) fn exact_at(m: u64) -> Self {
         BudgetedSearch {
             lo: m,
             hi: m,
@@ -775,75 +803,25 @@ impl BudgetedSearch {
     }
 }
 
-/// [`optimal_machines`] under a per-probe [`Budget`]: instead of hanging on
-/// an adversarial instance, the binary search stops at the first probe the
-/// budget cancels and returns the certified bracket accumulated so far.
+/// [`optimal_machines`] under a per-probe [`Budget`], decided by
+/// [`FastProber`]: lower bounds and the monotone probe cache first, then the
+/// certifier sweeps (free of charge), then budgeted flow probes. Instead of
+/// hanging on an adversarial instance, the search stops at the first probe
+/// the budget cancels and returns the certified bracket accumulated so far.
 /// With an unlimited budget the result is always exact and identical to
 /// [`optimal_machines`].
 pub fn optimal_machines_budgeted(instance: &Instance, budget: &Budget) -> BudgetedSearch {
     optimal_machines_budgeted_traced(instance, budget, NoopSink)
 }
 
-/// [`optimal_machines_budgeted`] with probes, bracket updates, and
+/// [`optimal_machines_budgeted`] with flow probes, bracket updates, and
 /// degradations reported to `sink`.
 pub fn optimal_machines_budgeted_traced<S: TraceSink>(
     instance: &Instance,
     budget: &Budget,
-    mut sink: S,
+    sink: S,
 ) -> BudgetedSearch {
-    if instance.is_empty() {
-        return BudgetedSearch::exact_at(0);
-    }
-    let mut prober = FeasibilityProber::new(instance);
-    let vol_lo = instance.volume_lower_bound().max(1);
-    // `lo_in` is the largest machine count proven infeasible (the volume
-    // bound certifies vol_lo − 1 up front); `hi` the smallest proven
-    // feasible. The optimum lies in (lo_in, hi].
-    let mut lo_in = vol_lo - 1;
-    let mut hi = instance.len() as u64;
-    let mut unknown_probes = 0u64;
-    let mut stopped: Option<BudgetExceeded> = None;
-    // Probe the volume bound first, mirroring the unbudgeted search.
-    match prober.probe_budgeted_traced(vol_lo, budget, &mut sink) {
-        Verdict::Feasible => return BudgetedSearch::exact_at(vol_lo),
-        Verdict::Infeasible => lo_in = vol_lo,
-        Verdict::Unknown(e) => {
-            unknown_probes += 1;
-            stopped = Some(e);
-        }
-    }
-    while stopped.is_none() && hi - lo_in > 1 {
-        let mid = lo_in + (hi - lo_in) / 2;
-        match prober.probe_budgeted_traced(mid, budget, &mut sink) {
-            Verdict::Feasible => hi = mid,
-            Verdict::Infeasible => lo_in = mid,
-            Verdict::Unknown(e) => {
-                unknown_probes += 1;
-                stopped = Some(e);
-            }
-        }
-        if stopped.is_none() && sink.enabled() {
-            sink.record(&TraceEvent::BinarySearchStep { lo: lo_in, hi });
-        }
-    }
-    match stopped {
-        None => BudgetedSearch::exact_at(hi),
-        Some(e) => {
-            if sink.enabled() {
-                sink.record(&TraceEvent::BudgetExceeded {
-                    site: "search",
-                    reason: e.tag(),
-                });
-            }
-            BudgetedSearch {
-                lo: lo_in + 1,
-                hi,
-                exact: None,
-                exceeded: Some(e),
-                unknown_probes,
-            }
-        }
-    }
+    FastProber::new(instance).optimal_machines_budgeted_traced(budget, sink)
 }
 
 /// [`optimal_machines`] computed the pre-prober way: an identical binary
@@ -1116,14 +1094,9 @@ mod tests {
 
     #[test]
     fn budgeted_search_returns_certified_bracket() {
-        let inst = Instance::from_ints([
-            (0, 2, 2),
-            (0, 2, 2),
-            (0, 2, 2),
-            (0, 12, 1),
-            (0, 12, 1),
-            (0, 12, 1),
-        ]);
+        // Crossing windows: a general instance, so only flow probes decide.
+        let inst = Instance::from_ints([(0, 3, 2), (1, 2, 1), (2, 5, 2), (1, 6, 3), (4, 5, 1)]);
+        assert_eq!(inst.classify(), mm_instance::StructureClass::General);
         let exact = optimal_machines(&inst);
         let budget = Budget::unlimited().with_augmentations(1);
         let mut sink = VecSink::new();
@@ -1139,6 +1112,29 @@ mod tests {
         );
         assert!(sink.count(|e| matches!(e, TraceEvent::ProbeDegraded { .. })) >= 1);
         assert!(sink.count(|e| matches!(e, TraceEvent::BudgetExceeded { .. })) >= 2);
+    }
+
+    #[test]
+    fn certifier_verdicts_are_not_charged_to_the_budget() {
+        // Equal releases make this instance agreeable: the sweeps decide
+        // every probe, so a starved flow budget still finds the optimum
+        // where a flow-only search would stop at its first probe.
+        let inst = Instance::from_ints([
+            (0, 2, 2),
+            (0, 2, 2),
+            (0, 2, 2),
+            (0, 12, 1),
+            (0, 12, 1),
+            (0, 12, 1),
+        ]);
+        let budget = Budget::unlimited().with_augmentations(1);
+        let mut sink = VecSink::new();
+        let search = optimal_machines_budgeted_traced(&inst, &budget, &mut sink);
+        assert_eq!(search.exact, Some(optimal_machines(&inst)));
+        assert_eq!(
+            sink.count(|e| matches!(e, TraceEvent::FeasibilityProbe { .. })),
+            0
+        );
     }
 
     #[test]

@@ -55,6 +55,7 @@ pub use feasibility::{
     FlowAllocation, ProberStats, Verdict,
 };
 pub use proof::{
-    infeasibility_cert, proof_for_probe, proof_for_solve, schedule_witness, verify, Claim, Proof,
-    ScheduleWitness, Verification, VolumeCert, PROOF_WITNESS_CAP,
+    infeasibility_cert, proof_for_probe, proof_for_probe_from, proof_for_solve,
+    proof_for_solve_from, schedule_witness, verify, Claim, Proof, ScheduleWitness, Verification,
+    VolumeCert, PROOF_WITNESS_CAP,
 };

@@ -349,8 +349,18 @@ impl Proof {
 /// when the allocation is too large to ship or not integral (the caller
 /// falls back to the seed form).
 pub fn schedule_witness(instance: &Instance, m: u64) -> Option<ScheduleWitness> {
+    if !witness_can_ship(instance) {
+        return None;
+    }
     let alloc = FeasibilityProber::new(instance).allocation(m)?;
     witness_from_allocation(m, &alloc)
+}
+
+/// Every job has `p > 0`, so every allocation holds at least one entry per
+/// job: above [`PROOF_WITNESS_CAP`] jobs no witness can ship, and no flow
+/// has to run to find that out.
+fn witness_can_ship(instance: &Instance) -> bool {
+    instance.len() <= PROOF_WITNESS_CAP
 }
 
 fn witness_from_allocation(m: u64, alloc: &FlowAllocation) -> Option<ScheduleWitness> {
@@ -384,6 +394,10 @@ fn witness_from_allocation(m: u64, alloc: &FlowAllocation) -> Option<ScheduleWit
 /// not fit the integer wire form.
 pub fn infeasibility_cert(instance: &Instance, m: u64) -> Option<VolumeCert> {
     let set = FeasibilityProber::new(instance).infeasible_witness(m)?;
+    cert_from_witness(instance, m, &set)
+}
+
+fn cert_from_witness(instance: &Instance, m: u64, set: &IntervalSet) -> Option<VolumeCert> {
     let witness = set
         .parts()
         .iter()
@@ -392,7 +406,7 @@ pub fn infeasibility_cert(instance: &Instance, m: u64) -> Option<VolumeCert> {
     if witness.len() > PROOF_WITNESS_CAP {
         return None;
     }
-    let volume = rat_to_i64(&instance.contribution(&set))?;
+    let volume = rat_to_i64(&instance.contribution(set))?;
     Some(VolumeCert {
         machines: m,
         witness,
@@ -430,6 +444,54 @@ pub fn proof_for_solve(instance: &Instance, m: u64) -> Proof {
         witness: schedule_witness(instance, m),
         cert: infeasibility_cert(instance, m - 1),
     }
+}
+
+/// [`proof_for_probe`] read from the decider that answered the probe. Equal
+/// to it byte for byte: an infeasible verdict a flow decided takes its
+/// certificate from that flow's minimum cut, and every other flow the proof
+/// needs runs on the decider's prober from a reset, as on a fresh build.
+pub fn proof_for_probe_from(decider: &mut FastProber, m: u64, feasible: bool) -> Option<Proof> {
+    if feasible {
+        Some(Proof::Feasible {
+            machines: m,
+            witness: decider_witness(decider, m),
+        })
+    } else {
+        Some(Proof::Infeasible {
+            cert: decider_cert(decider, m)?,
+        })
+    }
+}
+
+/// [`proof_for_solve`] read from the decider that found the optimum `m`.
+/// Equal to it byte for byte: above [`PROOF_WITNESS_CAP`] jobs the feasible
+/// side is the seed form with no flow run, and when a flow refuted `m − 1`
+/// the certificate comes from that flow's minimum cut.
+pub fn proof_for_solve_from(decider: &mut FastProber, m: u64) -> Proof {
+    if m == 0 {
+        return proof_for_solve(decider.instance(), 0);
+    }
+    Proof::Optimal {
+        machines: m,
+        witness: decider_witness(decider, m),
+        cert: decider_cert(decider, m - 1),
+    }
+}
+
+fn decider_witness(decider: &mut FastProber, m: u64) -> Option<ScheduleWitness> {
+    if !witness_can_ship(decider.instance()) {
+        return None;
+    }
+    let alloc = decider.flow_prober().allocation(m)?;
+    witness_from_allocation(m, &alloc)
+}
+
+fn decider_cert(decider: &mut FastProber, m: u64) -> Option<VolumeCert> {
+    let set = match decider.flow_witness(m) {
+        Some(set) => set,
+        None => decider.flow_prober().infeasible_witness(m)?,
+    };
+    cert_from_witness(decider.instance(), m, &set)
 }
 
 /// Checks `proof` against `claim` on `instance`. Pure arithmetic — never

@@ -94,8 +94,8 @@ pub fn execute(
 /// [`execute`] with span-phase reporting: the solver/prober portion of each
 /// request is timed and emitted as [`TraceEvent::SpanPhase`] events (`probe`
 /// for solve/probe, `sim` for schedule, `sweep` for adversary), and the
-/// sink is threaded into [`mm_opt::FeasibilityProber`] so probe counts and
-/// the `flow` phase surface too. With a disabled sink this is exactly
+/// sink is threaded into the [`mm_opt::FastProber`] decider's flow probes,
+/// so probe counts and the `flow` phase surface too. With a disabled sink this is exactly
 /// [`execute`]: no clock reads, no event construction.
 pub fn execute_traced<S: TraceSink>(
     req: &Request,
@@ -109,78 +109,62 @@ pub fn execute_traced<S: TraceSink>(
     match &req.kind {
         RequestKind::Solve { .. } => {
             let inst = req.instance().expect("solve carries jobs");
+            if starved && !inst.is_empty() {
+                // Draining: no solver work at all. The volume bound and one
+                // machine per job certify the bracket.
+                return bracket(
+                    id,
+                    "drain".into(),
+                    inst.volume_lower_bound().max(1),
+                    inst.len() as u64,
+                );
+            }
             let t_probe = phase_start(&sink);
-            let search = mm_opt::optimal_machines_budgeted_traced(&inst, &budget, &mut sink);
+            let mut decider = mm_opt::FastProber::new(&inst);
+            let search = decider.optimal_machines_budgeted_traced(&budget, &mut sink);
             phase_end(&mut sink, id, "probe", t_probe);
             match search.exact {
-                Some(m) => {
-                    let mut fields = vec![("machines".into(), Json::Int(m as i64))];
-                    if req.want_proof {
-                        fields.push(("proof".into(), mm_opt::proof_for_solve(&inst, m).to_json()));
-                    }
-                    Response::Ok { id, fields }
-                }
-                None => Response::Degraded {
+                Some(m) => Response::Ok {
                     id,
-                    reason: degrade_reason(&search.exceeded, starved),
-                    fields: vec![
-                        ("lo".into(), Json::Int(search.lo as i64)),
-                        ("hi".into(), Json::Int(search.hi as i64)),
-                    ],
+                    fields: solve_fields(&mut decider, m, req.want_proof),
                 },
+                None => bracket(
+                    id,
+                    degrade_reason(&search.exceeded, starved),
+                    search.lo,
+                    search.hi,
+                ),
             }
         }
         RequestKind::Probe { machines, .. } => {
             let inst = req.instance().expect("probe carries jobs");
             let t_probe = phase_start(&sink);
-            // Structured instances answer through the direct certifier —
-            // same verdict as the flow oracle, no network, so the budget
-            // is irrelevant. General instances (and the rare certifier
-            // gap) keep the budgeted flow probe.
-            let verdict = match mm_opt::FastProber::new(&inst).try_certify(*machines) {
-                Some(true) => mm_opt::Verdict::Feasible,
-                Some(false) => mm_opt::Verdict::Infeasible,
-                None => mm_opt::FeasibilityProber::new(&inst)
-                    .probe_budgeted_traced(*machines, &budget, &mut sink),
-            };
+            // Certifiers first, free of charge; only a flow probe (general
+            // instances, the rare certifier gap) runs under the budget.
+            let mut decider = mm_opt::FastProber::new(&inst);
+            let verdict = decider.decide_budgeted_traced(*machines, &budget, &mut sink);
             phase_end(&mut sink, id, "probe", t_probe);
-            let probe_fields = |feasible: bool| {
-                let mut fields = vec![("feasible".into(), Json::Bool(feasible))];
-                if req.want_proof {
-                    // The infeasible side can decline (a cert whose volume
-                    // overflows the wire form); the answer simply ships
-                    // proof-less and the coordinator reports Unverifiable.
-                    if let Some(proof) = mm_opt::proof_for_probe(&inst, *machines, feasible) {
-                        fields.push(("proof".into(), proof.to_json()));
-                    }
-                }
-                fields
-            };
             match verdict {
-                mm_opt::Verdict::Feasible => Response::Ok {
-                    id,
-                    fields: probe_fields(true),
-                },
-                mm_opt::Verdict::Infeasible => Response::Ok {
-                    id,
-                    fields: probe_fields(false),
-                },
                 mm_opt::Verdict::Unknown(e) => {
-                    // An undecided probe still has certified bounds: the
-                    // volume bound below, the trivial one-machine-per-job
-                    // bound above.
-                    let search = mm_opt::optimal_machines_budgeted(
-                        &inst,
-                        &Budget::unlimited().with_augmentations(1),
-                    );
-                    Response::Degraded {
-                        id,
-                        reason: degrade_reason(&Some(e), starved),
-                        fields: vec![
-                            ("lo".into(), Json::Int(search.lo as i64)),
-                            ("hi".into(), Json::Int(search.hi as i64)),
-                        ],
+                    // An undecided probe still has a certified bracket.
+                    let (lo, hi) = decider.bracket();
+                    bracket(id, degrade_reason(&Some(e), starved), lo, hi)
+                }
+                decided => {
+                    let feasible = decided == mm_opt::Verdict::Feasible;
+                    let mut fields = vec![("feasible".into(), Json::Bool(feasible))];
+                    if req.want_proof {
+                        // The infeasible side can decline (a cert whose
+                        // volume overflows the wire form); the answer simply
+                        // ships proof-less and the coordinator reports
+                        // Unverifiable.
+                        if let Some(proof) =
+                            mm_opt::proof_for_probe_from(&mut decider, *machines, feasible)
+                        {
+                            fields.push(("proof".into(), proof.to_json()));
+                        }
                     }
+                    Response::Ok { id, fields }
                 }
             }
         }
@@ -324,6 +308,29 @@ pub fn execute_traced<S: TraceSink>(
             id,
             message: "verdict notices are answered by the supervisor, not a worker".into(),
         },
+    }
+}
+
+/// The fields of an exact solve answer, with the proof read from the
+/// decider that found the optimum when the request asks for one.
+fn solve_fields(decider: &mut mm_opt::FastProber, m: u64, want_proof: bool) -> Vec<(String, Json)> {
+    let mut fields = vec![("machines".into(), Json::Int(m as i64))];
+    if want_proof {
+        let proof = mm_opt::proof_for_solve_from(decider, m);
+        fields.push(("proof".into(), proof.to_json()));
+    }
+    fields
+}
+
+/// A degraded answer carrying the certified bracket `lo ≤ m(J) ≤ hi`.
+fn bracket(id: u64, reason: String, lo: u64, hi: u64) -> Response {
+    Response::Degraded {
+        id,
+        reason,
+        fields: vec![
+            ("lo".into(), Json::Int(lo as i64)),
+            ("hi".into(), Json::Int(hi as i64)),
+        ],
     }
 }
 
@@ -584,6 +591,41 @@ mod tests {
         let resumed = run_adversary(7, "edf-ff", 3, 16, Some(cp), &mut count);
         assert_eq!(full.to_line(), resumed.to_line());
         assert_eq!(depths_rerun.len(), 1, "only k=3 should re-run");
+    }
+
+    #[test]
+    fn a_large_agreeable_solve_proof_runs_no_flow() {
+        use mm_instance::generators::{agreeable, AgreeableCfg};
+        // Above PROOF_WITNESS_CAP jobs the feasible side is the seed form,
+        // and the flow that refuted m − 1 during the search supplies the
+        // certificate: building the proof runs no flow at all.
+        let cfg = AgreeableCfg {
+            n: mm_opt::PROOF_WITNESS_CAP + 404,
+            release_gap: 2,
+            min_window: 4,
+            max_window: 40,
+            unit_processing: None,
+        };
+        let inst = agreeable(&cfg, 3);
+        let mut decider = mm_opt::FastProber::new(&inst);
+        let m = decider.optimal_machines();
+        assert!(
+            decider.flow_witness(m - 1).is_some(),
+            "a flow refuted m − 1"
+        );
+        let flows = decider.flow_stats();
+        let fields = solve_fields(&mut decider, m, true);
+        assert_eq!(decider.flow_stats(), flows, "building the proof ran a flow");
+        let proof = &fields.iter().find(|(k, _)| k == "proof").unwrap().1;
+        assert_eq!(
+            proof.to_compact(),
+            mm_opt::proof_for_solve(&inst, m).to_json().to_compact()
+        );
+        let proof = mm_opt::Proof::from_json(proof).unwrap();
+        assert_eq!(
+            mm_opt::verify(&inst, &mm_opt::Claim::Optimal(m), &proof),
+            mm_opt::Verification::Verified
+        );
     }
 
     #[test]

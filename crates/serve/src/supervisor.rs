@@ -41,7 +41,7 @@ use mm_trace::{TraceEvent, TraceSink};
 use crate::exec;
 use crate::journal::{Journal, PendingRequest, Record, Replay};
 use crate::obs::{LifetimeBase, ServeObs};
-use crate::protocol::{Request, RequestKind, Response};
+use crate::protocol::{Request, RequestKind, Response, MAX_LINE_BYTES};
 
 /// Trace sink handle shared by every thread of the service.
 pub type DynSink = mm_trace::SharedSink<Box<dyn TraceSink + Send>>;
@@ -557,6 +557,19 @@ impl Service {
         self.work_tx
             .send(Work::Item(Box::new(item)))
             .map_err(|_| "service stopped during recovery".to_string())
+    }
+
+    /// Answers a line the front end stopped reading past
+    /// [`MAX_LINE_BYTES`] without finding its end: one `error` response,
+    /// counted as received and rejected like any line that fails to parse.
+    pub(crate) fn reject_oversized_line(&self, reply: &Sender<String>) {
+        {
+            let mut stats = self.shared.stats.lock().unwrap();
+            stats.received += 1;
+            stats.rejected += 1;
+        }
+        let message = format!("request line exceeds {MAX_LINE_BYTES} bytes");
+        let _ = reply.send(Response::Error { id: 0, message }.to_line());
     }
 
     /// Submits one raw request line. Every line gets exactly one response on

@@ -5,13 +5,14 @@
 //! thread (draining the connection's reply channel); the worker pool is
 //! shared across connections, so backpressure is global, not per-socket.
 
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
 
 use crossbeam::channel;
 
+use crate::protocol::MAX_LINE_BYTES;
 use crate::supervisor::Service;
 
 /// Binds `addr` (use port 0 for an ephemeral port) and returns the listener
@@ -58,13 +59,36 @@ fn handle_connection(stream: TcpStream, service: Arc<Service>) {
             let _ = out.flush();
         }
     });
-    let reader = BufReader::new(stream);
-    for line in reader.lines() {
-        let Ok(line) = line else { break };
+    let mut reader = BufReader::new(stream);
+    let mut buf = Vec::new();
+    loop {
+        // Read at most one byte past the longest line the protocol accepts,
+        // so a client that never sends a newline cannot grow the buffer
+        // without bound.
+        buf.clear();
+        match (&mut reader)
+            .take(MAX_LINE_BYTES as u64 + 1)
+            .read_until(b'\n', &mut buf)
+        {
+            Ok(0) | Err(_) => break,
+            Ok(_) => {}
+        }
+        if buf.last() == Some(&b'\n') {
+            buf.pop();
+            if buf.last() == Some(&b'\r') {
+                buf.pop();
+            }
+        } else if buf.len() > MAX_LINE_BYTES {
+            service.reject_oversized_line(&reply_tx);
+            break;
+        }
+        let Ok(line) = std::str::from_utf8(&buf) else {
+            break;
+        };
         if line.trim().is_empty() {
             continue;
         }
-        service.submit_line(&line, &reply_tx);
+        service.submit_line(line, &reply_tx);
     }
     // EOF: drop our sender. The writer exits once every in-flight response
     // for this connection has been delivered (workers hold clones).
@@ -122,6 +146,59 @@ mod tests {
         service.wait_stopped();
         let stats = service.stats();
         assert_eq!(stats.admitted, 3);
+        assert!(stats.invariant_holds());
+    }
+
+    #[test]
+    fn an_endless_line_is_cut_off_with_one_error() {
+        let service = Arc::new(
+            Service::start(ServeConfig::default(), DynSink::new(Box::new(NoopSink))).unwrap(),
+        );
+        let (listener, addr) = bind("127.0.0.1:0").unwrap();
+        let acceptor = {
+            let service = Arc::clone(&service);
+            std::thread::spawn(move || serve(listener, service))
+        };
+        // One byte past the limit and no newline: the server must stop
+        // reading there, answer once, and close the connection.
+        let mut flood = TcpStream::connect(&addr).unwrap();
+        flood.write_all(&vec![b'x'; MAX_LINE_BYTES + 1]).unwrap();
+        let mut reader = BufReader::new(flood);
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        assert!(line.contains("\"status\":\"error\""), "{line}");
+        assert!(line.contains("exceeds"), "{line}");
+        line.clear();
+        assert_eq!(
+            reader.read_line(&mut line).unwrap(),
+            0,
+            "closed after the error"
+        );
+
+        // A second connection is still served.
+        let stream = TcpStream::connect(&addr).unwrap();
+        let mut writer = BufWriter::new(stream.try_clone().unwrap());
+        let mut reader = BufReader::new(stream);
+        for req in [
+            Request::new(
+                1,
+                RequestKind::Solve {
+                    jobs: vec![(0, 2, 2), (0, 2, 2)],
+                },
+            ),
+            Request::new(2, RequestKind::Shutdown),
+        ] {
+            writer.write_all(req.to_line().as_bytes()).unwrap();
+            writer.write_all(b"\n").unwrap();
+            writer.flush().unwrap();
+            let mut line = String::new();
+            reader.read_line(&mut line).unwrap();
+            assert!(line.contains("\"status\":\"ok\""), "{line}");
+        }
+        acceptor.join().unwrap().unwrap();
+        service.wait_stopped();
+        let stats = service.stats();
+        assert_eq!((stats.received, stats.rejected, stats.admitted), (3, 1, 1));
         assert!(stats.invariant_holds());
     }
 }
