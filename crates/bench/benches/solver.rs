@@ -3,11 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mm_instance::generators::{laminar, uniform, LaminarCfg, UniformCfg};
-use mm_instance::Instance;
-use mm_numeric::Rat;
-use mm_opt::{
-    contribution_bound, demigrate, optimal_machines, optimal_machines_fresh, optimal_schedule,
-};
+use mm_opt::{contribution_bound, demigrate, optimal_machines, optimal_schedule};
 
 fn optimum(c: &mut Criterion) {
     let mut g = c.benchmark_group("solver/optimal_machines");
@@ -84,49 +80,5 @@ fn demigration(c: &mut Criterion) {
     g.finish();
 }
 
-/// Pins prober reuse: the full binary search with one shared
-/// [`mm_opt::FeasibilityProber`] versus a fresh network per probe, on a
-/// small-coordinate instance (where the small-word arithmetic also helps)
-/// and on an adversarially-deep-denominator instance (where only the reuse
-/// helps, since every coordinate has spilled past `i64`).
-fn prober_reuse(c: &mut Criterion) {
-    let mut g = c.benchmark_group("solver/prober_reuse");
-    let small = uniform(
-        &UniformCfg {
-            n: 40,
-            horizon: 80,
-            ..Default::default()
-        },
-        5,
-    );
-    let deep = {
-        let mut inst = small.clone();
-        let scale = Rat::ratio(3, 7);
-        let offset = Rat::ratio(1, 9);
-        for _ in 0..24 {
-            inst = inst.affine(&Rat::zero(), &offset, &scale);
-        }
-        inst
-    };
-    for (name, inst) in [("small_coords", &small), ("deep_denominators", &deep)] {
-        g.bench_with_input(BenchmarkId::new("shared_prober", name), inst, |b, inst| {
-            b.iter(|| optimal_machines(std::hint::black_box::<&Instance>(inst)))
-        });
-        g.bench_with_input(
-            BenchmarkId::new("fresh_per_probe", name),
-            inst,
-            |b, inst| b.iter(|| optimal_machines_fresh(std::hint::black_box::<&Instance>(inst))),
-        );
-    }
-    g.finish();
-}
-
-criterion_group!(
-    benches,
-    optimum,
-    certificate,
-    extraction,
-    demigration,
-    prober_reuse
-);
+criterion_group!(benches, optimum, certificate, extraction, demigration);
 criterion_main!(benches);

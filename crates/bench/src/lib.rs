@@ -13,10 +13,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod baseline;
 pub mod crosscheck;
 pub mod experiments;
-pub mod large;
 pub mod meter;
 pub mod table;
 

@@ -6,8 +6,9 @@
 //! fast path forces every operation through the limb algorithms — the
 //! *representation* stays canonical (small values remain inline), only the
 //! arithmetic shortcuts are bypassed — which gives one binary both code
-//! paths for A/B benchmarking (`machmin bench`) and for property tests that
-//! check the two paths agree bit-for-bit.
+//! paths: for the `force_bigint` fault site and for tests that check the
+//! two paths agree bit-for-bit. The only way to flip it is the scoped
+//! [`force_bigint`] guard.
 //!
 //! The flag is a process-global relaxed atomic: both settings compute
 //! identical values, so concurrent readers seeing a stale flag is
@@ -23,9 +24,7 @@ pub fn enabled() -> bool {
     !DISABLED.load(Ordering::Relaxed)
 }
 
-/// Globally enables or disables the fast path. Prefer the scoped
-/// [`force_bigint`] in tests.
-pub fn set_enabled(on: bool) {
+fn set_enabled(on: bool) {
     DISABLED.store(!on, Ordering::Relaxed);
 }
 

@@ -824,41 +824,6 @@ pub fn optimal_machines_budgeted_traced<S: TraceSink>(
     FastProber::new(instance).optimal_machines_budgeted_traced(budget, sink)
 }
 
-/// [`optimal_machines`] computed the pre-prober way: an identical binary
-/// search, but every probe rebuilds the flow network from scratch. Kept as
-/// the reference implementation for `machmin bench` A/B runs and the
-/// property tests; answers are always identical to [`optimal_machines`].
-pub fn optimal_machines_fresh(instance: &Instance) -> u64 {
-    optimal_machines_fresh_traced(instance, NoopSink)
-}
-
-/// [`optimal_machines_fresh`] with probes reported to `sink` (each probe
-/// also emits a non-incremental [`TraceEvent::ProbeReuse`], so augmentation
-/// counts are comparable with [`optimal_machines_traced`]).
-pub fn optimal_machines_fresh_traced<S: TraceSink>(instance: &Instance, mut sink: S) -> u64 {
-    if instance.is_empty() {
-        return 0;
-    }
-    let mut lo = instance.volume_lower_bound().max(1);
-    let mut hi = instance.len() as u64;
-    if FeasibilityProber::new(instance).probe_traced(lo, &mut sink) {
-        return lo;
-    }
-    debug_assert!(feasible_on(instance, hi));
-    while hi - lo > 1 {
-        let mid = lo + (hi - lo) / 2;
-        if FeasibilityProber::new(instance).probe_traced(mid, &mut sink) {
-            hi = mid;
-        } else {
-            lo = mid;
-        }
-        if sink.enabled() {
-            sink.record(&TraceEvent::BinarySearchStep { lo, hi });
-        }
-    }
-    hi
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1015,7 +980,11 @@ mod tests {
             vec![(0, 10, 1), (3, 6, 3), (3, 6, 3), (5, 9, 4), (0, 4, 4)],
         ] {
             let inst = Instance::from_ints(jobs);
-            assert_eq!(optimal_machines(&inst), optimal_machines_fresh(&inst));
+            // The prober-backed search lands on the boundary fresh probers
+            // see: `m` fits and `m − 1` does not.
+            let m = optimal_machines(&inst);
+            assert!(feasible_on(&inst, m));
+            assert!(!feasible_on(&inst, m - 1));
         }
     }
 
@@ -1058,8 +1027,13 @@ mod tests {
                 })
                 .sum()
         };
+        // Re-run each probe the search made on a fresh prober.
         let mut fresh_sink = VecSink::new();
-        assert_eq!(optimal_machines_fresh_traced(&inst, &mut fresh_sink), m);
+        for e in &sink.events {
+            if let TraceEvent::FeasibilityProbe { machines, .. } = e {
+                FeasibilityProber::new(&inst).probe_traced(*machines, &mut fresh_sink);
+            }
+        }
         assert!(total_augs(&sink.events) <= total_augs(&fresh_sink.events));
     }
 

@@ -50,9 +50,8 @@ pub use exhaustive::{exhaustive_contribution_bound, EXHAUSTIVE_LIMIT};
 pub use extract::{optimal_schedule, schedule_from_allocation};
 pub use feasibility::{
     elementary_intervals, feasible_allocation, feasible_on, feasible_on_traced, optimal_machines,
-    optimal_machines_budgeted, optimal_machines_budgeted_traced, optimal_machines_fresh,
-    optimal_machines_fresh_traced, optimal_machines_traced, BudgetedSearch, FeasibilityProber,
-    FlowAllocation, ProberStats, Verdict,
+    optimal_machines_budgeted, optimal_machines_budgeted_traced, optimal_machines_traced,
+    BudgetedSearch, FeasibilityProber, FlowAllocation, ProberStats, Verdict,
 };
 pub use proof::{
     infeasibility_cert, proof_for_probe, proof_for_probe_from, proof_for_solve,

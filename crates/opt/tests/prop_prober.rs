@@ -6,9 +6,7 @@
 
 use mm_instance::generators::{agreeable, laminar, uniform, AgreeableCfg, LaminarCfg, UniformCfg};
 use mm_instance::Instance;
-use mm_opt::{
-    feasible_allocation, feasible_on, optimal_machines, optimal_machines_fresh, FeasibilityProber,
-};
+use mm_opt::{feasible_allocation, feasible_on, optimal_machines, FeasibilityProber};
 use proptest::prelude::*;
 
 fn random_instance(family: u8, n: usize, seed: u64) -> Instance {
@@ -56,12 +54,14 @@ proptest! {
         }
     }
 
-    /// The prober-backed binary search and the fresh-network-per-probe
-    /// reference compute the same optimum.
+    /// The prober-backed binary search lands on the feasibility boundary
+    /// that fresh-network probes see: `m` fits and `m − 1` does not.
     #[test]
     fn search_paths_agree(family in any::<u8>(), n in 1usize..24, seed in any::<u64>()) {
         let inst = random_instance(family, n, seed);
-        prop_assert_eq!(optimal_machines(&inst), optimal_machines_fresh(&inst));
+        let m = optimal_machines(&inst);
+        prop_assert!(feasible_on(&inst, m));
+        prop_assert!(m == 0 || !feasible_on(&inst, m - 1));
     }
 
     /// Allocations extracted through a dirtied prober are bit-identical to

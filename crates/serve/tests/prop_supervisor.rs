@@ -269,8 +269,10 @@ fn restart_resumes_pending_requests_without_duplicating_acks() {
 /// chaos runs — same seed, same fault plan, one worker so fault-site hits
 /// land in submission order — must answer the final stats scrape with
 /// byte-identical lines. `counters_only` strips every wall-clock field and
-/// zeroes the scrape-cadence counter, so polling until the registry catches
-/// up cannot perturb the compared reply.
+/// zeroes the scrape-cadence counter. The polls themselves are received
+/// lines, and how many it takes for the registry to catch up depends on
+/// thread timing, so each run checks `received == n + polls` and the
+/// compared line counts only the workload's `n`.
 #[test]
 fn stats_are_byte_identical_across_seeded_chaos_reruns() {
     fn chaos_run(seed: u64, n: u64) -> String {
@@ -310,7 +312,9 @@ fn stats_are_byte_identical_across_seeded_chaos_reruns() {
         // reply is sent, so poll until the scrape accounts for all `n`
         // responses before freezing the line to compare.
         let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        let mut polls = 0u64;
         loop {
+            polls += 1;
             let stats_req = Request::new(
                 1_000_000,
                 RequestKind::Stats {
@@ -335,6 +339,21 @@ fn stats_are_byte_identical_across_seeded_chaos_reruns() {
                 .unwrap_or(0);
             if accounted == n as i64 || std::time::Instant::now() > deadline {
                 service.join();
+                // `received` shows twice: in `counters` and in the registry.
+                let received = (
+                    json.get("counters").and_then(|c| c.get("received")),
+                    json.get("registry")
+                        .and_then(|r| r.get("counters"))
+                        .and_then(|c| c.get("serve.received")),
+                );
+                let expected = mm_json::Json::Int((n + polls) as i64);
+                assert_eq!(received, (Some(&expected), Some(&expected)), "{line}");
+                let mut line = line;
+                for key in ["\"received\":", "\"serve.received\":"] {
+                    let polled = format!("{key}{}", n + polls);
+                    assert_eq!(line.matches(&polled).count(), 1, "{polled} in {line}");
+                    line = line.replace(&polled, &format!("{key}{n}"));
+                }
                 return line;
             }
             std::thread::sleep(Duration::from_millis(5));

@@ -19,6 +19,7 @@
 
 #![forbid(unsafe_code)]
 
+mod bench;
 pub mod cli;
 mod error;
 
