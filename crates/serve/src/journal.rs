@@ -17,8 +17,9 @@
 //! number for the io exit-code taxonomy.
 
 use std::fs::{File, OpenOptions};
-use std::io::Write;
+use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
+use std::sync::{Condvar, Mutex};
 
 use mm_adversary::SweepCheckpoint;
 use mm_json::Json;
@@ -127,19 +128,88 @@ impl Record {
     }
 }
 
-/// Append-only fsynced journal writer.
+/// Append-only fsynced journal writer with group commit.
+///
+/// [`Journal::write`] appends one record under a short lock and returns its
+/// sequence number; [`Journal::sync_to`] returns once an fsync that began
+/// after that record was written has completed. There is no committer
+/// thread: whichever caller finds no fsync in flight runs one, and it covers
+/// every record written before it began, so callers that arrive while it
+/// runs share the next one. An uncontended append is one write plus one
+/// fsync on the caller's thread.
+///
+/// The first write or fsync error poisons the journal: every later
+/// [`write`](Journal::write) and [`sync_to`](Journal::sync_to) returns it.
+/// A failed write may leave a partial line, which stays replayable only as
+/// the journal's last line; and after a failed fsync the kernel may have
+/// dropped the dirty pages, so a retried fsync could report success for
+/// lost records.
 #[derive(Debug)]
 pub struct Journal {
-    file: File,
     path: PathBuf,
+    state: Mutex<State>,
+    /// Signalled whenever an fsync finishes (or fails).
+    synced: Condvar,
+    /// A second handle on the file, fsynced without holding `state`, so
+    /// appends go on while an fsync runs.
+    syncer: File,
+}
+
+const POISONED: &str = "no journal call panics while holding the state lock";
+
+#[derive(Debug)]
+struct State {
+    file: File,
+    /// Sequence number of the last record written (the first is 1).
+    written: u64,
+    /// Every record up to this sequence number is on disk.
+    durable: u64,
+    /// Whether some caller is running an fsync.
+    syncing: bool,
+    /// The first write or fsync error, returned by every later call.
+    poisoned: Option<(std::io::ErrorKind, String)>,
+    #[cfg(test)]
+    fsyncs: u64,
+}
+
+impl State {
+    fn check(&self) -> std::io::Result<()> {
+        match &self.poisoned {
+            Some((kind, message)) => Err(std::io::Error::new(*kind, message.clone())),
+            None => Ok(()),
+        }
+    }
+
+    fn poison(&mut self, e: std::io::Error) -> std::io::Error {
+        self.poisoned = Some((e.kind(), e.to_string()));
+        e
+    }
 }
 
 impl Journal {
-    /// Opens (creating or appending to) the journal at `path`.
+    /// Opens (creating or appending to) the journal at `path`. A torn final
+    /// line (an append cut short by a crash) is cut off first, so the next
+    /// record starts a line of its own instead of extending the torn one
+    /// into interior corruption.
     pub fn open(path: &Path) -> std::io::Result<Journal> {
-        let file = OpenOptions::new().create(true).append(true).open(path)?;
+        let file = OpenOptions::new()
+            .create(true)
+            .read(true)
+            .append(true)
+            .open(path)?;
+        cut_torn_tail(&file)?;
         Ok(Journal {
-            file,
+            syncer: file.try_clone()?,
+            state: Mutex::new(State {
+                file,
+                written: 0,
+                durable: 0,
+                syncing: false,
+                poisoned: None,
+                #[cfg(test)]
+                fsyncs: 0,
+            }),
+            synced: Condvar::new(),
             path: path.to_path_buf(),
         })
     }
@@ -149,16 +219,103 @@ impl Journal {
         &self.path
     }
 
+    /// Appends one record without waiting for the disk, returning its
+    /// sequence number and the bytes written (newline included). The record
+    /// is durable once [`Journal::sync_to`] with that number returns.
+    pub fn write(&self, record: &Record) -> std::io::Result<(u64, usize)> {
+        let mut line = record.to_json().to_compact();
+        line.push('\n');
+        let mut state = self.state.lock().expect(POISONED);
+        state.check()?;
+        if let Err(e) = state.file.write_all(line.as_bytes()) {
+            return Err(state.poison(e));
+        }
+        state.written += 1;
+        Ok((state.written, line.len()))
+    }
+
+    /// Returns once record `seq` (and every record before it) is on disk:
+    /// joins the fsync in flight if it began after `seq` was written, waits
+    /// for it to end otherwise, and runs the next one itself if nobody else
+    /// does.
+    pub fn sync_to(&self, seq: u64) -> std::io::Result<()> {
+        let mut state = self.state.lock().expect(POISONED);
+        loop {
+            state.check()?;
+            if state.durable >= seq {
+                return Ok(());
+            }
+            if state.syncing {
+                state = self.synced.wait(state).expect(POISONED);
+                continue;
+            }
+            // Everything written so far is covered by the fsync that starts
+            // after this point.
+            let target = state.written;
+            state.syncing = true;
+            drop(state);
+            let result = self.syncer.sync_data();
+            state = self.state.lock().expect(POISONED);
+            state.syncing = false;
+            #[cfg(test)]
+            {
+                state.fsyncs += 1;
+            }
+            match result {
+                Ok(()) => state.durable = state.durable.max(target),
+                Err(e) => {
+                    state.poison(e);
+                }
+            }
+            self.synced.notify_all();
+        }
+    }
+
     /// Appends one record and fsyncs before returning, reporting the number
     /// of bytes written (newline included). The fsync is the crash-safety
     /// contract: once this returns, a replay sees the record.
     pub fn append(&mut self, record: &Record) -> std::io::Result<usize> {
-        let mut line = record.to_json().to_compact();
-        line.push('\n');
-        self.file.write_all(line.as_bytes())?;
-        self.file.sync_data()?;
-        Ok(line.len())
+        let (seq, bytes) = self.write(record)?;
+        self.sync_to(seq)?;
+        Ok(bytes)
     }
+
+    /// Sequence number of the last record known to be on disk.
+    #[cfg(test)]
+    fn durable(&self) -> u64 {
+        self.state.lock().expect(POISONED).durable
+    }
+
+    /// Number of fsyncs run so far.
+    #[cfg(test)]
+    fn fsyncs(&self) -> u64 {
+        self.state.lock().expect(POISONED).fsyncs
+    }
+}
+
+/// Truncates `file` after its last newline. Appends are whole lines, so
+/// anything past the last newline is a record a crash cut short.
+fn cut_torn_tail(mut file: &File) -> std::io::Result<()> {
+    const CHUNK: u64 = 4096;
+    let len = file.metadata()?.len();
+    let mut end = len;
+    let mut buf = vec![0u8; CHUNK as usize];
+    while end > 0 {
+        let start = end.saturating_sub(CHUNK);
+        let chunk = &mut buf[..(end - start) as usize];
+        file.seek(SeekFrom::Start(start))?;
+        file.read_exact(chunk)?;
+        if let Some(i) = chunk.iter().rposition(|&b| b == b'\n') {
+            end = start + i as u64 + 1;
+            break;
+        }
+        end = start;
+    }
+    if end < len {
+        file.set_len(end)?;
+        file.sync_all()?;
+    }
+    Ok(())
 }
 
 /// The result of replaying a journal after a restart.
@@ -216,7 +373,10 @@ impl Replay {
         Replay::from_text(&text).map_err(|e| format!("journal {}: {e}", path.display()))
     }
 
-    /// Replays journal text (split out for truncation tests).
+    /// Replays journal text (split out for truncation tests). A final line
+    /// without its newline is torn even when it parses: every record is
+    /// written together with its newline, so that record was never synced
+    /// (and [`Journal::open`] cuts it off before appending).
     pub fn from_text(text: &str) -> Result<Replay, String> {
         let lines: Vec<&str> = text.lines().collect();
         let mut replay = Replay::default();
@@ -227,6 +387,10 @@ impl Replay {
                 continue;
             }
             let last = i + 1 == lines.len();
+            if last && !text.ends_with('\n') {
+                replay.torn_tail = true;
+                continue;
+            }
             let record = match mm_json::parse(raw)
                 .map_err(|e| e.message.clone())
                 .and_then(|json| Record::from_json(&json))
@@ -381,5 +545,104 @@ mod tests {
     fn missing_journal_is_an_empty_replay() {
         let replay = Replay::load(Path::new("/nonexistent/machmin/journal.jsonl")).unwrap();
         assert!(replay.acked.is_empty() && replay.pending.is_empty());
+    }
+
+    #[test]
+    fn concurrent_syncs_share_fsyncs_and_return_only_once_durable() {
+        const THREADS: u64 = 4;
+        const RECORDS: u64 = 25;
+        let path = tmp("group.jsonl");
+        std::fs::remove_file(&path).ok();
+        let journal = std::sync::Arc::new(Journal::open(&path).unwrap());
+        // All threads start appending together, so their syncs overlap.
+        let start = std::sync::Arc::new(std::sync::Barrier::new(THREADS as usize));
+        let workers: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let journal = std::sync::Arc::clone(&journal);
+                let start = std::sync::Arc::clone(&start);
+                std::thread::spawn(move || {
+                    start.wait();
+                    for k in 0..RECORDS {
+                        let id = t * RECORDS + k;
+                        let (seq, _) = journal
+                            .write(&Record::Admitted {
+                                id,
+                                line: format!("{{\"id\":{id}}}"),
+                            })
+                            .unwrap();
+                        journal.sync_to(seq).unwrap();
+                        assert!(journal.durable() >= seq, "sync_to({seq}) returned early");
+                    }
+                })
+            })
+            .collect();
+        for worker in workers {
+            worker.join().unwrap();
+        }
+        let records = THREADS * RECORDS;
+        assert_eq!(journal.durable(), records);
+        assert!(journal.fsyncs() <= records, "{} fsyncs", journal.fsyncs());
+        let replay = Replay::load(&path).unwrap();
+        let mut ids: Vec<u64> = replay.pending.iter().map(|p| p.id).collect();
+        ids.sort_unstable();
+        assert_eq!(ids, (0..records).collect::<Vec<_>>());
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn the_first_write_error_poisons_every_later_write_and_sync() {
+        let dev_full = Path::new("/dev/full");
+        if !dev_full.exists() {
+            return;
+        }
+        let mut journal = Journal::open(dev_full).unwrap();
+        let record = Record::Admitted {
+            id: 1,
+            line: "{\"id\":1}".into(),
+        };
+        let first = journal.write(&record).unwrap_err();
+        assert_eq!(first.raw_os_error(), Some(28), "ENOSPC: {first}");
+        for _ in 0..3 {
+            let again = journal.write(&record).unwrap_err();
+            assert_eq!(again.kind(), first.kind());
+            assert!(journal.sync_to(0).is_err());
+            assert!(journal.sync_to(1).is_err());
+            assert!(journal.append(&record).is_err());
+        }
+    }
+
+    #[test]
+    fn reopening_cuts_a_torn_tail_so_later_records_stay_replayable() {
+        let path = tmp("torn.jsonl");
+        std::fs::remove_file(&path).ok();
+        let mut j = Journal::open(&path).unwrap();
+        j.append(&Record::Admitted {
+            id: 1,
+            line: "{\"id\":1}".into(),
+        })
+        .unwrap();
+        drop(j);
+        let whole = std::fs::read(&path).unwrap();
+        // A crash half-way through the next record, which even parses
+        // without its newline.
+        let next = "{\"rec\":\"acked\",\"id\":1,\"line\":\"y\"}";
+        for torn in [&next[..next.len() / 2], next] {
+            let mut bytes = whole.clone();
+            bytes.extend_from_slice(torn.as_bytes());
+            std::fs::write(&path, &bytes).unwrap();
+            let replay = Replay::load(&path).unwrap();
+            assert!(replay.torn_tail && replay.acked.is_empty(), "{torn}");
+            let mut j = Journal::open(&path).unwrap();
+            j.append(&Record::Acked {
+                id: 1,
+                line: "z".into(),
+            })
+            .unwrap();
+            let replay = Replay::load(&path).unwrap();
+            assert!(!replay.torn_tail);
+            assert_eq!(replay.acked, vec![(1, "z".to_string())]);
+            assert!(replay.pending.is_empty());
+        }
+        std::fs::remove_file(&path).ok();
     }
 }

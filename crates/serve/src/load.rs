@@ -164,6 +164,10 @@ pub fn mixed_requests(seed: u64, n: usize, deadline_ms: Option<u64>) -> Vec<Requ
 pub fn run_load(addr: &str, cfg: &LoadConfig) -> std::io::Result<LoadReport> {
     let requests = mixed_requests(cfg.seed, cfg.n, cfg.deadline_ms);
     let stream = TcpStream::connect(addr)?;
+    // Each request leaves as it is flushed instead of waiting behind an
+    // unacknowledged one (Nagle's algorithm), like the coordinator's
+    // backend connections.
+    stream.set_nodelay(true)?;
     let mut writer = BufWriter::new(stream.try_clone()?);
     let mut reader = BufReader::new(stream);
     let mut responses: HashMap<u64, String> = HashMap::new();

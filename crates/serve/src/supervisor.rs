@@ -6,15 +6,18 @@
 //! 1. **Admission** ([`Service::submit_line`]): the line is parsed; invalid
 //!    lines get an immediate `error` response. If the server is draining or
 //!    the queue is at capacity the request is **shed** with `overloaded` +
-//!    `retry_after_ms`. Otherwise the raw line is appended (fsynced) to the
-//!    write-ahead journal *before* the request enters the bounded queue —
-//!    the crash-safety ordering.
+//!    `retry_after_ms`. Otherwise the raw line is written to the write-ahead
+//!    journal under the admission lock, and the request enters the bounded
+//!    queue only once that record is durable (the fsync is awaited outside
+//!    the lock, so concurrent admissions share it) — the crash-safety
+//!    ordering.
 //! 2. **Execution**: a worker picks the item up and runs it under
 //!    `catch_unwind`. Injected faults ([`FaultSite::WorkerPanic`],
 //!    [`FaultSite::MachineSlowdown`]) fire here, deterministically.
-//! 3. **Completion**: the supervisor journals the exact response line, then
-//!    releases it to the client. Exactly one terminal response per admitted
-//!    request — the property tests pin this.
+//! 3. **Completion**: the supervisor journals the exact response line and
+//!    waits for it to be durable, then releases it to the client. Exactly
+//!    one terminal response per admitted request — the property tests pin
+//!    this.
 //! 4. **Panic**: the worker thread dies; the supervisor catches the
 //!    corpse via the control channel, spawns a replacement, and either
 //!    re-queues the request (decorrelated-jitter backoff, capped attempts)
@@ -41,7 +44,7 @@ use mm_trace::{TraceEvent, TraceSink};
 use crate::exec;
 use crate::journal::{Journal, PendingRequest, Record, Replay};
 use crate::obs::{LifetimeBase, ServeObs};
-use crate::protocol::{Request, RequestKind, Response, MAX_LINE_BYTES};
+use crate::protocol::{Request, RequestKind, Response};
 
 /// Trace sink handle shared by every thread of the service.
 pub type DynSink = mm_trace::SharedSink<Box<dyn TraceSink + Send>>;
@@ -176,6 +179,12 @@ impl ServeStats {
 /// Bound on remembered idempotency keys (FIFO eviction past this).
 const IDEM_CACHE_CAP: usize = 4096;
 
+/// Bound on the total bytes of the cached response lines (FIFO eviction
+/// past this). Proof-carrying pool replies run to ~15 KB, so 4 MiB holds a
+/// few hundred of them: seconds of one backend's output, far longer than a
+/// hedge or a migration takes to arrive.
+const IDEM_CACHE_BYTES: usize = 4 << 20;
+
 /// Bounded idempotency cache: completed response lines keyed by the
 /// request's idempotency key. A duplicate key is answered with the exact
 /// bytes of the first completion, so a hedged duplicate costs a map lookup
@@ -185,6 +194,8 @@ const IDEM_CACHE_CAP: usize = 4096;
 struct IdemCache {
     map: std::collections::HashMap<u64, String>,
     order: std::collections::VecDeque<u64>,
+    /// Total length of the lines in `map`.
+    bytes: usize,
 }
 
 impl IdemCache {
@@ -193,12 +204,19 @@ impl IdemCache {
     }
 
     fn insert(&mut self, key: u64, line: String) {
-        if self.map.insert(key, line).is_none() {
-            self.order.push_back(key);
-            if self.order.len() > IDEM_CACHE_CAP {
-                if let Some(old) = self.order.pop_front() {
-                    self.map.remove(&old);
-                }
+        self.bytes += line.len();
+        match self.map.insert(key, line) {
+            // Two copies of one key can both execute when the second
+            // arrives before the first finishes; the key stays counted once.
+            Some(old) => self.bytes -= old.len(),
+            None => self.order.push_back(key),
+        }
+        while self.order.len() > IDEM_CACHE_CAP || self.bytes > IDEM_CACHE_BYTES {
+            let Some(old) = self.order.pop_front() else {
+                break;
+            };
+            if let Some(line) = self.map.remove(&old) {
+                self.bytes -= line.len();
             }
         }
     }
@@ -214,7 +232,7 @@ struct Shared {
     cfg: ServeConfig,
     admission: Mutex<Admission>,
     stopped_cv: Condvar,
-    journal: Option<Mutex<Journal>>,
+    journal: Option<Journal>,
     injector: Mutex<FaultInjector>,
     idem: Mutex<IdemCache>,
     sink: DynSink,
@@ -230,15 +248,30 @@ impl Shared {
         }
     }
 
-    fn journal_append(&self, record: &Record) -> std::io::Result<()> {
+    /// Writes one record without waiting for the disk and returns its
+    /// sequence number for [`Shared::journal_sync`] (0 without a journal).
+    fn journal_write(&self, record: &Record) -> std::io::Result<u64> {
         match &self.journal {
             Some(j) => {
-                let bytes = j.lock().unwrap().append(record)?;
+                let (seq, bytes) = j.write(record)?;
                 self.obs.on_journal_write(bytes as u64);
-                Ok(())
+                Ok(seq)
             }
+            None => Ok(0),
+        }
+    }
+
+    /// Waits until record `seq` is durable.
+    fn journal_sync(&self, seq: u64) -> std::io::Result<()> {
+        match &self.journal {
+            Some(j) => j.sync_to(seq),
             None => Ok(()),
         }
+    }
+
+    fn journal_append(&self, record: &Record) -> std::io::Result<()> {
+        let seq = self.journal_write(record)?;
+        self.journal_sync(seq)
     }
 
     /// Builds the reply to a `stats` request. `counters_only` strips every
@@ -417,9 +450,9 @@ impl Service {
             None => Replay::default(),
         };
         let journal = match &cfg.journal {
-            Some(path) => Some(Mutex::new(
-                Journal::open(path).map_err(|e| format!("cannot open journal: {e}"))?,
-            )),
+            Some(path) => {
+                Some(Journal::open(path).map_err(|e| format!("cannot open journal: {e}"))?)
+            }
             None => None,
         };
         let workers = cfg.workers.max(1);
@@ -559,16 +592,16 @@ impl Service {
             .map_err(|_| "service stopped during recovery".to_string())
     }
 
-    /// Answers a line the front end stopped reading past
-    /// [`MAX_LINE_BYTES`] without finding its end: one `error` response,
-    /// counted as received and rejected like any line that fails to parse.
-    pub(crate) fn reject_oversized_line(&self, reply: &Sender<String>) {
+    /// Answers a line the front end could not hand to [`Service::submit_line`]
+    /// (longer than [`crate::protocol::MAX_LINE_BYTES`], or not UTF-8): one
+    /// `error` response with id 0, counted as received and rejected like any
+    /// line that fails to parse.
+    pub(crate) fn reject_line(&self, reply: &Sender<String>, message: String) {
         {
             let mut stats = self.shared.stats.lock().unwrap();
             stats.received += 1;
             stats.rejected += 1;
         }
-        let message = format!("request line exceeds {MAX_LINE_BYTES} bytes");
         let _ = reply.send(Response::Error { id: 0, message }.to_line());
     }
 
@@ -695,8 +728,11 @@ impl Service {
                 return;
             }
         }
-        // Admission decision and WAL append happen under the same lock so
-        // the journal's admission order matches the queue's.
+        // The admission decision and the WAL write happen under one lock, so
+        // the journal holds admissions in the order they were decided. The
+        // fsync is awaited after the lock is released (concurrent admissions
+        // share it) and the request is enqueued only once it is durable, so
+        // queue order matches journal order per connection.
         let admission = self.shared.admission.lock().unwrap();
         if admission.draining || admission.depth >= self.shared.cfg.queue_cap {
             let depth = admission.depth;
@@ -716,14 +752,15 @@ impl Service {
         let mut admission = admission;
         admission.depth += 1;
         let depth = admission.depth;
-        if let Err(e) = self.shared.journal_append(&Record::Admitted {
+        let written = self.shared.journal_write(&Record::Admitted {
             id: req.id,
             line: line.to_string(),
-        }) {
+        });
+        drop(admission);
+        if let Err(e) = written.and_then(|seq| self.shared.journal_sync(seq)) {
             // A journal that cannot take the admission record voids the
             // crash-safety contract; refuse the request rather than lie.
-            admission.depth -= 1;
-            drop(admission);
+            self.shared.admission.lock().unwrap().depth -= 1;
             self.shared.stats.lock().unwrap().rejected += 1;
             let _ = reply.send(
                 Response::Error {
@@ -734,7 +771,6 @@ impl Service {
             );
             return;
         }
-        drop(admission);
         {
             let mut stats = self.shared.stats.lock().unwrap();
             stats.admitted += 1;
@@ -1079,10 +1115,11 @@ fn supervise(
     shared.stopped_cv.notify_all();
 }
 
-/// Journals, releases, and accounts one terminal response — including its
-/// observability span: the `reply` phase (journal ack + release) is timed
-/// here, then the whole span lands in the registry, the windowed rings, the
-/// slow-span exemplars, and (when a sink is attached) the trace stream.
+/// Journals, accounts, and releases one terminal response — including its
+/// observability span: the `reply` phase (durable journal ack + accounting)
+/// is timed here, then the whole span lands in the registry, the windowed
+/// rings, the slow-span exemplars, and (when a sink is attached) the trace
+/// stream, and only then does the line go to the client.
 fn finish(shared: &Shared, item: &WorkItem, response: &Response) {
     let reply_t0 = Instant::now();
     // Byzantine injection happens here, BEFORE the line is journaled and
@@ -1110,7 +1147,6 @@ fn finish(shared: &Shared, item: &WorkItem, response: &Response) {
     if let Some(key) = item.req.idempotency_key {
         shared.idem.lock().unwrap().insert(key, line.clone());
     }
-    let _ = item.reply.send(line);
     shared.admission.lock().unwrap().depth -= 1;
     {
         let mut stats = shared.stats.lock().unwrap();
@@ -1163,6 +1199,9 @@ fn finish(shared: &Shared, item: &WorkItem, response: &Response) {
         id: item.req.id,
         status: terminal_status(response),
     });
+    // Released last: a client that has its answer sees it counted, and its
+    // next request finds the slot free.
+    let _ = item.reply.send(line);
 }
 
 /// Whether an answer is eligible for [`FaultSite::AnswerCorruption`]: only
@@ -1283,6 +1322,39 @@ mod tests {
         got.sort();
         got.dedup();
         assert_eq!(got.len(), 8, "distinct response per request");
+    }
+
+    #[test]
+    fn idem_cache_keeps_the_newest_lines_within_its_byte_budget() {
+        const MIB: usize = 1 << 20;
+        let mut cache = IdemCache::default();
+        for key in 0..10u64 {
+            cache.insert(key, "x".repeat(MIB));
+            assert!(cache.bytes <= IDEM_CACHE_BYTES, "{} bytes", cache.bytes);
+            assert_eq!(cache.bytes, cache.map.values().map(String::len).sum());
+        }
+        let kept = (IDEM_CACHE_BYTES / MIB) as u64;
+        for key in 0..10u64 {
+            assert_eq!(cache.get(key).is_some(), key >= 10 - kept, "key {key}");
+        }
+        assert_eq!(cache.order.len(), cache.map.len());
+    }
+
+    #[test]
+    fn idem_cache_counts_a_reinserted_key_once() {
+        let mut cache = IdemCache::default();
+        cache.insert(7, "first".into());
+        cache.insert(7, "second, longer".into());
+        assert_eq!(cache.bytes, "second, longer".len());
+        assert_eq!(cache.order.len(), 1);
+        assert_eq!(cache.get(7).map(String::as_str), Some("second, longer"));
+        // Past the entry cap the key leaves once, and its bytes with it.
+        for key in 100..100 + IDEM_CACHE_CAP as u64 {
+            cache.insert(key, "y".into());
+        }
+        assert!(cache.get(7).is_none());
+        assert_eq!(cache.map.len(), IDEM_CACHE_CAP);
+        assert_eq!(cache.bytes, IDEM_CACHE_CAP);
     }
 
     #[test]
