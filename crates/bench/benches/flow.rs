@@ -2,7 +2,7 @@
 //! feasibility oracle builds (E2/E3's cost center).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use mm_flow::FlowNetwork;
+use mm_flow::ArenaNetwork;
 use mm_instance::generators::{uniform, UniformCfg};
 use mm_numeric::Rat;
 use mm_opt::{elementary_intervals, feasible_on};
@@ -37,7 +37,7 @@ fn raw_dinic(c: &mut Criterion) {
     g.bench_function("bipartite_40x40_rational", |b| {
         b.iter(|| {
             let l = 40usize;
-            let mut net = FlowNetwork::<Rat>::new(2 * l + 2);
+            let mut net = ArenaNetwork::<Rat>::new(2 * l + 2);
             let (s, t) = (0, 2 * l + 1);
             for i in 0..l {
                 net.add_edge(s, 1 + i, Rat::ratio(3, 2));
@@ -74,7 +74,7 @@ fn reuse_vs_rebuild(c: &mut Criterion) {
     let l = 40usize;
     let (s, t) = (0, 2 * l + 1);
     let build = || {
-        let mut net = FlowNetwork::<Rat>::new(2 * l + 2);
+        let mut net = ArenaNetwork::<Rat>::new(2 * l + 2);
         for i in 0..l {
             net.add_edge(s, 1 + i, Rat::ratio(3, 2));
             net.add_edge(1 + l + i, t, Rat::ratio(3, 2));

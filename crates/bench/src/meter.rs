@@ -1,7 +1,8 @@
 //! Process-wide metrics meter for the experiment suite.
 //!
 //! Experiments fan out over [`crate::parallel_map`] worker threads, so the
-//! per-run counters cannot live in a single owned [`MetricsSink`]. Instead
+//! per-run counters cannot live in a single owned
+//! [`MetricsSink`](mm_trace::MetricsSink). Instead
 //! every traced call site passes [`MeterSink`], a zero-sized handle onto one
 //! global [`Metrics`] accumulator behind a mutex. `exp_all --csv <dir>`
 //! resets the meter before each experiment and writes the aggregate as

@@ -7,14 +7,14 @@
 //! out under a pluggable [`BalancePolicy`]. Three workloads build on the
 //! same engine:
 //!
-//! * [`solve`] — ascending-`m` feasibility probes for one instance; the
+//! * [`cluster_solve`] — ascending-`m` feasibility probes for one instance; the
 //!   gather step returns the first certified optimum, or the tightest
 //!   merged `[lo, hi]` bracket when some probes come back degraded.
-//! * [`sweep`] — an adversary sweep sharded as `(policy, depth)` pairs,
+//! * [`cluster_sweep`] — an adversary sweep sharded as `(policy, depth)` pairs,
 //!   with per-shard checkpoints so a torn run resumes where it stopped.
-//! * [`grid`] — a remote experiment grid (generator family × seed) whose
+//! * [`cluster_grid`] — a remote experiment grid (generator family × seed) whose
 //!   results merge into one summary with per-backend counters.
-//! * [`online`] — the online-scheduler portfolio race (member × family ×
+//! * [`cluster_online`] — the online-scheduler portfolio race (member × family ×
 //!   seed) served on the pool, merged into per-member competitive-ratio
 //!   statistics with a single-node parity reference.
 //!

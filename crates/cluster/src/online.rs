@@ -39,7 +39,9 @@ pub struct OnlineConfig {
 pub struct OnlineOutcome {
     /// `(member, family, seed, response line)` per cell, in cell order.
     pub cells: Vec<(Member, String, u64, String)>,
-    /// Per-member merge (see [`merge_cells`]).
+    /// Per-member merge, by the same rules as [`local_online_merge`]:
+    /// completed runs, failures, machines opened vs optimum totals, worst
+    /// ratio, misses.
     pub merged: Json,
     /// The underlying scatter–gather report.
     pub report: ClusterReport,

@@ -204,7 +204,7 @@ const WALL_CLOCK_STRIDE: u64 = 256;
 /// Components call [`BudgetMeter::tick_step`] / `tick_augmentation` at every
 /// unit of work; the meter returns `Err(BudgetExceeded)` exactly once the
 /// corresponding limit is crossed. Wall-clock checks are amortised: the
-/// clock is read every [`WALL_CLOCK_STRIDE`] ticks, so an unlimited meter
+/// clock is read every `WALL_CLOCK_STRIDE` ticks, so an unlimited meter
 /// costs two branches per checkpoint.
 #[derive(Debug, Clone)]
 pub struct BudgetMeter {

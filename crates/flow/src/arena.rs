@@ -1,26 +1,26 @@
 //! Structure-of-arrays flow arena: Dinic on flat parallel arrays.
 //!
-//! [`super::FlowNetwork`] stores one `Vec<Edge>` per node — fine at a few
-//! hundred nodes, but at 10^5–10^6 jobs the per-node vectors scatter the
-//! residual graph across the heap and every DFS step chases pointers. This
-//! module keeps the same algorithm and observable behaviour on a CSR-style
-//! arena:
+//! At 10^5–10^6 jobs a network with one edge vector per node would scatter
+//! the residual graph across the heap, and every DFS step would chase a
+//! pointer. The arena lays the graph out CSR-style instead:
 //!
-//! * edges live in four flat parallel arrays (`next`/`to`/`cap`, plus
-//!   per-node `head`/`tail` cursors) — one allocation each, grown once;
+//! * edges live in flat parallel arrays (`next`/`to`/`cap`, plus per-node
+//!   `head`/`tail` cursors) — one allocation each, grown once;
 //! * an edge and its reverse are adjacent (`e ^ 1`), so the residual update
 //!   needs no `rev` pointer array;
 //! * per-node adjacency is an intrusive list appended in insertion order, so
-//!   traversal order — and therefore the sequence of augmenting paths and
-//!   every deterministic counter — matches the `Vec<Vec<Edge>>` network;
+//!   the sequence of augmenting paths — and every deterministic counter —
+//!   is a function of the edges and the order they were added in, whatever
+//!   the capacity type;
 //! * the blocking-flow DFS is iterative (an explicit edge stack), so a
 //!   million-node path cannot overflow the call stack;
 //! * [`ArenaNetwork::clear`] rewinds the arena to an empty network *without
 //!   freeing anything*, so a prober can rebuild for a new instance
 //!   allocation-free.
 //!
-//! The old network stays as the reference oracle; the property tests check
-//! the two agree on max-flow values over random graphs.
+//! The property tests hold it to an independent Edmonds–Karp oracle, and
+//! its `i128` and `Rat` instantiations to the same augmenting paths on
+//! proportional capacities.
 
 use mm_fault::{BudgetExceeded, BudgetMeter};
 
@@ -28,9 +28,8 @@ use crate::{EdgeHandle, FlowNum};
 
 const NONE: u32 = u32::MAX;
 
-/// A directed flow network on a flat edge arena. Same observable API as
-/// [`crate::FlowNetwork`] (same `EdgeHandle` currency, same counter and
-/// budget semantics), tuned for networks with 10^5+ nodes.
+/// A directed flow network with exact capacities on a flat edge arena,
+/// tuned for networks with 10^5+ nodes.
 #[derive(Debug, Clone)]
 pub struct ArenaNetwork<N: FlowNum> {
     /// First edge out of each node (`NONE` when isolated).
@@ -86,13 +85,6 @@ impl<N: FlowNum> ArenaNetwork<N> {
     /// Whether the network has no nodes.
     pub fn is_empty(&self) -> bool {
         self.head.is_empty()
-    }
-
-    /// Adds a node, returning its index.
-    pub fn add_node(&mut self) -> usize {
-        self.head.push(NONE);
-        self.tail.push(NONE);
-        self.head.len() - 1
     }
 
     /// Rewinds to an empty network with `n` nodes, keeping every allocation
@@ -165,9 +157,9 @@ impl<N: FlowNum> ArenaNetwork<N> {
         }
     }
 
-    /// Replaces an edge's capacity, clearing any flow on it. As with
-    /// [`crate::FlowNetwork::set_capacity`], conservation at the endpoints
-    /// is not restored — callers reset or re-solve from a consistent state.
+    /// Replaces an edge's capacity, clearing any flow on it. Conservation
+    /// at its endpoints is *not* restored — callers [`Self::reset`] first or
+    /// otherwise re-solve from a consistent state.
     pub fn set_capacity(&mut self, handle: EdgeHandle, cap: N) {
         self.cap[2 * handle.0] = cap.clone();
         self.cap[2 * handle.0 + 1] = N::zero();
@@ -184,19 +176,6 @@ impl<N: FlowNum> ArenaNetwork<N> {
         self.original_caps[handle.0] = cap;
     }
 
-    /// Sum of residual capacities of forward edges out of `node`.
-    pub fn out_capacity(&self, node: usize) -> N {
-        let mut t = N::zero();
-        let mut e = self.head[node];
-        while e != NONE {
-            if e.is_multiple_of(2) {
-                t = t.add(&self.cap[e as usize]);
-            }
-            e = self.next[e as usize];
-        }
-        t
-    }
-
     /// Computes the maximum `source → sink` flow (Dinic, iterative blocking
     /// flow). Calling again continues from the current residual state.
     pub fn max_flow(&mut self, source: usize, sink: usize) -> N {
@@ -206,11 +185,12 @@ impl<N: FlowNum> ArenaNetwork<N> {
         }
     }
 
-    /// [`Self::max_flow`] with cooperative cancellation; the meter protocol
-    /// matches [`crate::FlowNetwork::max_flow_budgeted`] exactly — one
-    /// phase tick per BFS, one augmentation tick per path *attempt* (so a
-    /// phase that finds `k` paths ticks `k + 1` times) — and cancellation
-    /// leaves a valid partial flow that a later call resumes.
+    /// [`Self::max_flow`] with cooperative cancellation: one phase tick per
+    /// BFS, one augmentation tick per path *attempt* (so a phase that finds
+    /// `k` paths ticks `k + 1` times, and a meter never lets more paths
+    /// through than its augmentation limit). On `Err` the network holds
+    /// a valid partial flow (conservation holds), so a later call resumes
+    /// from it. On `Ok` it returns the flow added by *this* call.
     pub fn max_flow_budgeted(
         &mut self,
         source: usize,
@@ -380,8 +360,65 @@ impl<N: FlowNum> ArenaNetwork<N> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::FlowNetwork;
+    use mm_fault::Budget;
     use mm_numeric::Rat;
+
+    fn r(n: i64, d: i64) -> Rat {
+        Rat::ratio(n, d)
+    }
+
+    #[test]
+    fn single_edge() {
+        let mut net = ArenaNetwork::<u64>::new(2);
+        let e = net.add_edge(0, 1, 7);
+        assert_eq!(net.max_flow(0, 1), 7);
+        assert_eq!(net.flow(e), 7);
+    }
+
+    #[test]
+    fn disconnected_is_zero() {
+        let mut net = ArenaNetwork::<u64>::new(4);
+        net.add_edge(0, 1, 5);
+        net.add_edge(2, 3, 5);
+        assert_eq!(net.max_flow(0, 3), 0);
+    }
+
+    #[test]
+    fn bottleneck_is_the_flow_and_the_min_cut() {
+        let mut net = ArenaNetwork::<u64>::new(4);
+        net.add_edge(0, 1, 10);
+        let mid = net.add_edge(1, 2, 1);
+        net.add_edge(2, 3, 10);
+        assert_eq!(net.max_flow(0, 3), 1);
+        assert_eq!(net.min_cut(0), vec![mid]);
+    }
+
+    #[test]
+    fn bipartite_matching() {
+        // 3 left, 3 right, perfect matching exists.
+        let mut net = ArenaNetwork::<u64>::new(8);
+        let (s, t) = (0, 7);
+        for l in 1..=3 {
+            net.add_edge(s, l, 1);
+        }
+        for rn in 4..=6 {
+            net.add_edge(rn, t, 1);
+        }
+        // L1-{R1,R2}, L2-{R1}, L3-{R2,R3}
+        net.add_edge(1, 4, 1);
+        net.add_edge(1, 5, 1);
+        net.add_edge(2, 4, 1);
+        net.add_edge(3, 5, 1);
+        net.add_edge(3, 6, 1);
+        assert_eq!(net.max_flow(s, t), 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "self-loops")]
+    fn self_loop_rejected() {
+        let mut net = ArenaNetwork::<u64>::new(2);
+        net.add_edge(1, 1, 3);
+    }
 
     #[test]
     fn diamond_and_readback() {
@@ -400,9 +437,9 @@ mod tests {
     }
 
     #[test]
-    fn matches_vec_network_path_for_path() {
-        // Same graph, same insertion order: identical flow value *and*
-        // identical augmentation counter.
+    fn routes_eight_units_in_two_paths() {
+        // Insertion order fixes the augmenting paths, so the value *and*
+        // the path count are pinned.
         let edges = [
             (0usize, 1usize, 4u64),
             (0, 2, 6),
@@ -413,23 +450,47 @@ mod tests {
             (4, 5, 7),
             (4, 3, 1),
         ];
-        let mut old = FlowNetwork::<u64>::new(6);
-        let mut arena = ArenaNetwork::<u64>::new(6);
+        let mut net = ArenaNetwork::<u64>::new(6);
         for &(u, v, c) in &edges {
-            old.add_edge(u, v, c);
-            arena.add_edge(u, v, c);
+            net.add_edge(u, v, c);
         }
-        assert_eq!(arena.max_flow(0, 5), old.max_flow(0, 5));
-        assert_eq!(arena.augmentations(), old.augmentations());
+        assert_eq!(net.max_flow(0, 5), 8);
+        assert_eq!(net.augmentations(), 2);
+    }
+
+    #[test]
+    fn augmentations_count_paths() {
+        let mut net = ArenaNetwork::<u64>::new(4);
+        net.add_edge(0, 1, 1);
+        net.add_edge(0, 2, 1);
+        net.add_edge(1, 3, 1);
+        net.add_edge(2, 3, 1);
+        assert_eq!(net.augmentations(), 0);
+        assert_eq!(net.max_flow(0, 3), 2);
+        assert_eq!(net.augmentations(), 2);
+        // Idempotent re-run finds no new paths.
+        net.max_flow(0, 3);
+        assert_eq!(net.augmentations(), 2);
     }
 
     #[test]
     fn rational_capacities() {
         let mut net = ArenaNetwork::<Rat>::new(3);
-        net.add_edge(0, 1, Rat::ratio(1, 2));
-        net.add_edge(0, 1, Rat::ratio(1, 3));
-        net.add_edge(1, 2, Rat::ratio(1, 7));
-        assert_eq!(net.max_flow(0, 2), Rat::ratio(1, 7));
+        net.add_edge(0, 1, r(1, 2));
+        net.add_edge(0, 1, r(1, 3));
+        net.add_edge(1, 2, r(1, 7));
+        assert_eq!(net.max_flow(0, 2), r(1, 7));
+    }
+
+    #[test]
+    fn rational_reset_and_rescale() {
+        let mut net = ArenaNetwork::<Rat>::new(3);
+        net.add_edge(0, 1, r(1, 2));
+        let e = net.add_edge(1, 2, r(1, 3));
+        assert_eq!(net.max_flow(0, 2), r(1, 3));
+        net.reset();
+        net.set_capacity(e, r(2, 5));
+        assert_eq!(net.max_flow(0, 2), r(2, 5));
     }
 
     #[test]
@@ -445,6 +506,14 @@ mod tests {
         assert_eq!(net.flow(mid), 0);
         net.set_capacity(mid, 1);
         assert_eq!(net.max_flow(0, 2), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "lower the capacity")]
+    fn raise_capacity_rejects_decrease() {
+        let mut net = ArenaNetwork::<u64>::new(2);
+        let e = net.add_edge(0, 1, 5);
+        net.raise_capacity(e, 3);
     }
 
     #[test]
@@ -490,8 +559,22 @@ mod tests {
     }
 
     #[test]
+    fn min_cut_rational() {
+        let mut net = ArenaNetwork::<Rat>::new(3);
+        net.add_edge(0, 1, r(2, 3));
+        net.add_edge(0, 1, r(1, 6));
+        net.add_edge(1, 2, r(1, 2));
+        let f = net.max_flow(0, 2);
+        assert_eq!(f, r(1, 2));
+        let mut total = Rat::zero();
+        for h in net.min_cut(0) {
+            total += net.capacity(h);
+        }
+        assert_eq!(total, f);
+    }
+
+    #[test]
     fn budgeted_cancellation_resumes() {
-        use mm_fault::{Budget, BudgetExceeded, BudgetMeter};
         let mut net = ArenaNetwork::<u64>::new(6);
         for mid in 1..5 {
             net.add_edge(0, mid, 1);
@@ -506,10 +589,9 @@ mod tests {
     }
 
     #[test]
-    fn meter_protocol_matches_vec_network() {
-        use mm_fault::{Budget, BudgetMeter};
-        // Run both networks under every augmentation budget from starving
-        // to generous: tick-for-tick agreement means they trip identically.
+    fn augmentation_budgets_trip_after_their_limit() {
+        // Three paths in one phase tick the meter four times: budgets 1–3
+        // trip after that many paths, budgets 4–7 finish with flow 3.
         let edges = [
             (0usize, 1usize, 2u64),
             (0, 2, 2),
@@ -520,18 +602,37 @@ mod tests {
             (4, 5, 2),
         ];
         for limit in 1..8 {
-            let mut old = FlowNetwork::<u64>::new(6);
-            let mut arena = ArenaNetwork::<u64>::new(6);
+            let mut net = ArenaNetwork::<u64>::new(6);
             for &(u, v, c) in &edges {
-                old.add_edge(u, v, c);
-                arena.add_edge(u, v, c);
+                net.add_edge(u, v, c);
             }
             let budget = Budget::unlimited().with_augmentations(limit);
-            let a = old.max_flow_budgeted(0, 5, &mut BudgetMeter::new(&budget));
-            let b = arena.max_flow_budgeted(0, 5, &mut BudgetMeter::new(&budget));
-            assert_eq!(a, b, "limit {limit}");
-            assert_eq!(old.augmentations(), arena.augmentations(), "limit {limit}");
+            let got = net.max_flow_budgeted(0, 5, &mut BudgetMeter::new(&budget));
+            if limit <= 3 {
+                assert_eq!(got, Err(BudgetExceeded::Augmentations { limit }));
+                assert_eq!(net.augmentations(), limit, "limit {limit}");
+            } else {
+                assert_eq!(got, Ok(3), "limit {limit}");
+                assert_eq!(net.augmentations(), 3, "limit {limit}");
+            }
         }
+    }
+
+    #[test]
+    fn unlimited_meter_matches_max_flow() {
+        let mut a = ArenaNetwork::<u64>::new(4);
+        let mut b = ArenaNetwork::<u64>::new(4);
+        for net in [&mut a, &mut b] {
+            net.add_edge(0, 1, 3);
+            net.add_edge(0, 2, 2);
+            net.add_edge(1, 3, 2);
+            net.add_edge(2, 3, 3);
+            net.add_edge(1, 2, 5);
+        }
+        let mut meter = BudgetMeter::unlimited();
+        assert_eq!(a.max_flow_budgeted(0, 3, &mut meter).unwrap(), 5);
+        assert_eq!(b.max_flow(0, 3), 5);
+        assert_eq!(a.augmentations(), b.augmentations());
     }
 
     #[test]

@@ -4,9 +4,10 @@
 //! The offline feasibility test for preemptive migratory scheduling on `m`
 //! machines is a max-flow problem on the bipartite job/event-interval network
 //! (see `mm-opt`). Because `machmin` instances carry exact rational time
-//! coordinates — with adversarially large denominators — the flow solver is
-//! generic over a [`FlowNum`] capacity type and instantiated with both `u64`
-//! and [`mm_numeric::Rat`].
+//! coordinates — with adversarially large denominators — the one network,
+//! [`ArenaNetwork`], is generic over a [`FlowNum`] capacity type. `mm-opt`
+//! instantiates it with `i128` ticks on an instance's integer time grid and
+//! falls back to [`mm_numeric::Rat`] when the grid overflows.
 //!
 //! Dinic's phase count is `O(V)` independent of capacity magnitudes, so exact
 //! rational capacities terminate and stay exact.
@@ -14,16 +15,17 @@
 //! # Example
 //!
 //! ```
-//! use mm_flow::FlowNetwork;
+//! use mm_flow::ArenaNetwork;
 //!
-//! let mut net = FlowNetwork::<u64>::new(4);
+//! let mut net = ArenaNetwork::<u64>::new(4);
 //! let s = 0; let t = 3;
 //! net.add_edge(s, 1, 3);
 //! net.add_edge(s, 2, 2);
 //! net.add_edge(1, 3, 2);
 //! net.add_edge(2, 3, 3);
-//! net.add_edge(1, 2, 5);
+//! let cross = net.add_edge(1, 2, 5);
 //! assert_eq!(net.max_flow(s, t), 5);
+//! assert_eq!(net.flow(cross), 1);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -31,14 +33,11 @@
 
 mod arena;
 
-use std::collections::VecDeque;
-
-use mm_fault::{BudgetExceeded, BudgetMeter};
 use mm_numeric::Rat;
 
 pub use arena::ArenaNetwork;
 
-/// Capacity/flow numeric type for [`FlowNetwork`].
+/// Capacity/flow numeric type for [`ArenaNetwork`].
 pub trait FlowNum: Clone + Ord {
     /// Additive identity.
     fn zero() -> Self;
@@ -61,18 +60,6 @@ impl FlowNum for u64 {
     }
     fn sub(&self, other: &Self) -> Self {
         self.checked_sub(*other).expect("u64 flow underflow")
-    }
-}
-
-impl FlowNum for i64 {
-    fn zero() -> Self {
-        0
-    }
-    fn add(&self, other: &Self) -> Self {
-        self.checked_add(*other).expect("i64 flow overflow")
-    }
-    fn sub(&self, other: &Self) -> Self {
-        self.checked_sub(*other).expect("i64 flow underflow")
     }
 }
 
@@ -100,603 +87,7 @@ impl FlowNum for Rat {
     }
 }
 
-#[derive(Debug, Clone)]
-struct Edge<N> {
-    to: usize,
-    cap: N,
-    /// Index of the reverse edge in `graph[to]`.
-    rev: usize,
-    /// Whether this is a forward (original) edge, for flow read-back.
-    forward: bool,
-}
-
-/// A directed flow network with exact capacities.
-#[derive(Debug, Clone)]
-pub struct FlowNetwork<N: FlowNum> {
-    graph: Vec<Vec<Edge<N>>>,
-    /// Location `(from, index)` of each forward edge, by handle.
-    originals: Vec<(usize, usize)>,
-    original_caps: Vec<N>,
-    /// Total augmenting paths found over the network's lifetime.
-    augmentations: u64,
-    // Scratch buffers reused across max_flow phases (and calls), so repeated
-    // probes on the same network don't churn the allocator.
-    level: Vec<usize>,
-    iter: Vec<usize>,
-    queue: VecDeque<usize>,
-}
-
-/// Handle to an edge added with [`FlowNetwork::add_edge`]; lets callers read
-/// back the flow on that edge after [`FlowNetwork::max_flow`].
+/// Handle to an edge added with [`ArenaNetwork::add_edge`]; lets callers
+/// read back the flow on that edge after [`ArenaNetwork::max_flow`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EdgeHandle(usize);
-
-impl<N: FlowNum> FlowNetwork<N> {
-    /// Creates a network with `n` nodes and no edges.
-    pub fn new(n: usize) -> Self {
-        FlowNetwork {
-            graph: vec![Vec::new(); n],
-            originals: Vec::new(),
-            original_caps: Vec::new(),
-            augmentations: 0,
-            level: Vec::new(),
-            iter: Vec::new(),
-            queue: VecDeque::new(),
-        }
-    }
-
-    /// Number of nodes.
-    pub fn len(&self) -> usize {
-        self.graph.len()
-    }
-
-    /// Whether the network has no nodes.
-    pub fn is_empty(&self) -> bool {
-        self.graph.is_empty()
-    }
-
-    /// Adds a node, returning its index.
-    pub fn add_node(&mut self) -> usize {
-        self.graph.push(Vec::new());
-        self.graph.len() - 1
-    }
-
-    /// Adds a directed edge `from → to` with the given capacity.
-    pub fn add_edge(&mut self, from: usize, to: usize, cap: N) -> EdgeHandle {
-        assert!(
-            from < self.graph.len() && to < self.graph.len(),
-            "node out of range"
-        );
-        assert!(from != to, "self-loops are not supported");
-        let rev_from = self.graph[to].len();
-        let rev_to = self.graph[from].len();
-        self.graph[from].push(Edge {
-            to,
-            cap: cap.clone(),
-            rev: rev_from,
-            forward: true,
-        });
-        self.graph[to].push(Edge {
-            to: from,
-            cap: N::zero(),
-            rev: rev_to,
-            forward: false,
-        });
-        self.originals.push((from, rev_to));
-        self.original_caps.push(cap);
-        EdgeHandle(self.originals.len() - 1)
-    }
-
-    /// Flow currently routed through an edge (valid after `max_flow`).
-    pub fn flow(&self, handle: EdgeHandle) -> N {
-        let (from, idx) = self.originals[handle.0];
-        // flow = original capacity − residual capacity
-        self.original_caps[handle.0].sub(&self.graph[from][idx].cap)
-    }
-
-    /// Computes the maximum `source → sink` flow (Dinic). Residual
-    /// capacities are updated in place; call [`Self::flow`] afterwards to
-    /// read per-edge flows. Calling again continues from the current state.
-    pub fn max_flow(&mut self, source: usize, sink: usize) -> N {
-        match self.max_flow_budgeted(source, sink, &mut BudgetMeter::unlimited()) {
-            Ok(total) => total,
-            Err(_) => unreachable!("unlimited meter never trips"),
-        }
-    }
-
-    /// [`Self::max_flow`] with cooperative cancellation: the meter is ticked
-    /// once per BFS phase and once per augmenting path. On
-    /// `Err(BudgetExceeded)` the network holds a *valid partial flow*
-    /// (conservation holds; total routed flow is the sum of completed
-    /// augmentations), so a later call with a fresh meter resumes
-    /// incrementally from where cancellation struck. The returned value on
-    /// `Ok` is the flow added by *this* call, matching [`Self::max_flow`].
-    pub fn max_flow_budgeted(
-        &mut self,
-        source: usize,
-        sink: usize,
-        meter: &mut BudgetMeter,
-    ) -> Result<N, BudgetExceeded> {
-        assert!(source != sink, "source must differ from sink");
-        let n = self.graph.len();
-        let mut total = N::zero();
-        // Detach the scratch buffers so the borrow checker allows the
-        // recursive `&mut self` DFS; reattached before returning.
-        let mut level = std::mem::take(&mut self.level);
-        let mut it = std::mem::take(&mut self.iter);
-        let mut q = std::mem::take(&mut self.queue);
-        level.resize(n, usize::MAX);
-        it.resize(n, 0);
-        // Reattaches scratch space on every exit path, including
-        // cancellation, so the network stays reusable.
-        macro_rules! finish {
-            ($result:expr) => {{
-                self.level = level;
-                self.iter = it;
-                self.queue = q;
-                return $result;
-            }};
-        }
-        loop {
-            if let Err(e) = meter.tick_phase() {
-                finish!(Err(e));
-            }
-            // BFS level graph on residual edges.
-            level.fill(usize::MAX);
-            level[source] = 0;
-            q.clear();
-            q.push_back(source);
-            while let Some(u) = q.pop_front() {
-                for e in &self.graph[u] {
-                    if !e.cap.is_zero() && level[e.to] == usize::MAX {
-                        level[e.to] = level[u] + 1;
-                        q.push_back(e.to);
-                    }
-                }
-            }
-            if level[sink] == usize::MAX {
-                finish!(Ok(total));
-            }
-            // DFS blocking flow with iteration pointers. The checkpoint
-            // precedes each attempt so a tripped meter never routes more
-            // than `max_augmentations` paths in this call.
-            it.fill(0);
-            loop {
-                if let Err(e) = meter.tick_augmentation() {
-                    finish!(Err(e));
-                }
-                match self.dfs(source, sink, None, &level, &mut it) {
-                    Some(f) => {
-                        self.augmentations += 1;
-                        total = total.add(&f);
-                    }
-                    None => break,
-                }
-            }
-        }
-    }
-
-    /// Total augmenting paths found by [`Self::max_flow`] over the
-    /// network's lifetime (not reset by [`Self::reset`]).
-    pub fn augmentations(&self) -> u64 {
-        self.augmentations
-    }
-
-    /// Clears all flow in place: every forward edge returns to its original
-    /// capacity and every reverse edge to zero. Keeps nodes, edges, and
-    /// scratch allocations.
-    pub fn reset(&mut self) {
-        for (idx, &(from, eidx)) in self.originals.iter().enumerate() {
-            let (to, rev) = {
-                let e = &self.graph[from][eidx];
-                (e.to, e.rev)
-            };
-            self.graph[from][eidx].cap = self.original_caps[idx].clone();
-            self.graph[to][rev].cap = N::zero();
-        }
-    }
-
-    /// Replaces an edge's capacity, clearing any flow on that edge (its
-    /// residual becomes the full new capacity). Flow conservation at its
-    /// endpoints is *not* restored — callers are expected to [`Self::reset`]
-    /// first or otherwise re-run [`Self::max_flow`] from a consistent state.
-    pub fn set_capacity(&mut self, handle: EdgeHandle, cap: N) {
-        let (from, eidx) = self.originals[handle.0];
-        let (to, rev) = {
-            let e = &self.graph[from][eidx];
-            (e.to, e.rev)
-        };
-        self.graph[from][eidx].cap = cap.clone();
-        self.graph[to][rev].cap = N::zero();
-        self.original_caps[handle.0] = cap;
-    }
-
-    /// Raises an edge's capacity to `cap` (which must be ≥ the current
-    /// capacity), preserving the flow already routed through it. Residual
-    /// capacities stay consistent, so a subsequent [`Self::max_flow`]
-    /// continues incrementally from the existing flow.
-    pub fn raise_capacity(&mut self, handle: EdgeHandle, cap: N) {
-        let (from, eidx) = self.originals[handle.0];
-        let old = self.original_caps[handle.0].clone();
-        assert!(cap >= old, "raise_capacity would lower the capacity");
-        let delta = cap.sub(&old);
-        let e = &mut self.graph[from][eidx];
-        e.cap = e.cap.add(&delta);
-        self.original_caps[handle.0] = cap;
-    }
-
-    fn dfs(
-        &mut self,
-        u: usize,
-        sink: usize,
-        limit: Option<N>,
-        level: &[usize],
-        it: &mut [usize],
-    ) -> Option<N> {
-        if u == sink {
-            return limit;
-        }
-        while it[u] < self.graph[u].len() {
-            let i = it[u];
-            let (to, cap) = {
-                let e = &self.graph[u][i];
-                (e.to, e.cap.clone())
-            };
-            if !cap.is_zero() && level[to] == level[u] + 1 {
-                let next_limit = match &limit {
-                    Some(l) => Some(if *l < cap { l.clone() } else { cap }),
-                    None => Some(cap),
-                };
-                if let Some(f) = self.dfs(to, sink, next_limit, level, it) {
-                    let rev = self.graph[u][i].rev;
-                    self.graph[u][i].cap = self.graph[u][i].cap.sub(&f);
-                    self.graph[to][rev].cap = self.graph[to][rev].cap.add(&f);
-                    return Some(f);
-                }
-            }
-            it[u] += 1;
-        }
-        None
-    }
-
-    /// Sum of *residual* capacities of forward edges out of `node`
-    /// (diagnostic helper for feasibility callers).
-    pub fn out_capacity(&self, node: usize) -> N {
-        let mut t = N::zero();
-        for e in &self.graph[node] {
-            if e.forward {
-                t = t.add(&e.cap);
-            }
-        }
-        t
-    }
-
-    /// After [`Self::max_flow`], returns a minimum `s`–`t` cut as the set of
-    /// saturated forward edges from the source-reachable side to the rest.
-    /// By max-flow/min-cut duality their total capacity equals the flow
-    /// value, which the tests verify — a second certificate of optimality.
-    pub fn min_cut(&self, source: usize) -> Vec<EdgeHandle> {
-        // Residual reachability from the source.
-        let n = self.graph.len();
-        let mut seen = vec![false; n];
-        seen[source] = true;
-        let mut stack = vec![source];
-        while let Some(u) = stack.pop() {
-            for e in &self.graph[u] {
-                if !e.cap.is_zero() && !seen[e.to] {
-                    seen[e.to] = true;
-                    stack.push(e.to);
-                }
-            }
-        }
-        let mut cut = Vec::new();
-        for (idx, &(from, eidx)) in self.originals.iter().enumerate() {
-            let to = self.graph[from][eidx].to;
-            if seen[from] && !seen[to] {
-                cut.push(EdgeHandle(idx));
-            }
-        }
-        cut
-    }
-
-    /// Original capacity of an edge.
-    pub fn capacity(&self, handle: EdgeHandle) -> N {
-        self.original_caps[handle.0].clone()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn r(n: i64, d: i64) -> Rat {
-        Rat::ratio(n, d)
-    }
-
-    #[test]
-    fn single_edge() {
-        let mut net = FlowNetwork::<u64>::new(2);
-        let e = net.add_edge(0, 1, 7);
-        assert_eq!(net.max_flow(0, 1), 7);
-        assert_eq!(net.flow(e), 7);
-    }
-
-    #[test]
-    fn classic_diamond() {
-        // s→a (3), s→b (2), a→b (5), a→t (2), b→t (3): max flow 5
-        let mut net = FlowNetwork::<u64>::new(4);
-        net.add_edge(0, 1, 3);
-        net.add_edge(0, 2, 2);
-        net.add_edge(1, 2, 5);
-        net.add_edge(1, 3, 2);
-        net.add_edge(2, 3, 3);
-        assert_eq!(net.max_flow(0, 3), 5);
-    }
-
-    #[test]
-    fn disconnected_is_zero() {
-        let mut net = FlowNetwork::<u64>::new(4);
-        net.add_edge(0, 1, 5);
-        net.add_edge(2, 3, 5);
-        assert_eq!(net.max_flow(0, 3), 0);
-    }
-
-    #[test]
-    fn bottleneck_path() {
-        let mut net = FlowNetwork::<u64>::new(4);
-        net.add_edge(0, 1, 10);
-        net.add_edge(1, 2, 1);
-        net.add_edge(2, 3, 10);
-        assert_eq!(net.max_flow(0, 3), 1);
-    }
-
-    #[test]
-    fn bipartite_matching() {
-        // 3 left, 3 right, perfect matching exists.
-        let mut net = FlowNetwork::<u64>::new(8);
-        let (s, t) = (0, 7);
-        for l in 1..=3 {
-            net.add_edge(s, l, 1);
-        }
-        for rn in 4..=6 {
-            net.add_edge(rn, t, 1);
-        }
-        // L1-{R1,R2}, L2-{R1}, L3-{R2,R3}
-        net.add_edge(1, 4, 1);
-        net.add_edge(1, 5, 1);
-        net.add_edge(2, 4, 1);
-        net.add_edge(3, 5, 1);
-        net.add_edge(3, 6, 1);
-        assert_eq!(net.max_flow(s, t), 3);
-    }
-
-    #[test]
-    fn rational_capacities() {
-        // Same diamond with capacities scaled by 1/3.
-        let mut net = FlowNetwork::<Rat>::new(4);
-        net.add_edge(0, 1, r(3, 3));
-        net.add_edge(0, 2, r(2, 3));
-        net.add_edge(1, 2, r(5, 3));
-        net.add_edge(1, 3, r(2, 3));
-        net.add_edge(2, 3, r(3, 3));
-        assert_eq!(net.max_flow(0, 3), r(5, 3));
-    }
-
-    #[test]
-    fn rational_mixed_denominators() {
-        let mut net = FlowNetwork::<Rat>::new(3);
-        net.add_edge(0, 1, r(1, 2));
-        net.add_edge(0, 1, r(1, 3));
-        net.add_edge(1, 2, r(1, 7));
-        assert_eq!(net.max_flow(0, 2), r(1, 7));
-    }
-
-    #[test]
-    fn flow_readback_and_conservation() {
-        let mut net = FlowNetwork::<u64>::new(4);
-        let e1 = net.add_edge(0, 1, 3);
-        let e2 = net.add_edge(0, 2, 2);
-        let e3 = net.add_edge(1, 3, 2);
-        let e4 = net.add_edge(2, 3, 3);
-        let e5 = net.add_edge(1, 2, 5);
-        let f = net.max_flow(0, 3);
-        assert_eq!(f, 5);
-        assert_eq!(net.flow(e1) + net.flow(e2), 5);
-        assert_eq!(net.flow(e3) + net.flow(e4), 5);
-        // conservation at node 1: in = out
-        assert_eq!(net.flow(e1), net.flow(e3) + net.flow(e5));
-    }
-
-    #[test]
-    fn incremental_max_flow_is_idempotent() {
-        let mut net = FlowNetwork::<u64>::new(3);
-        net.add_edge(0, 1, 4);
-        net.add_edge(1, 2, 4);
-        assert_eq!(net.max_flow(0, 2), 4);
-        // Re-running finds no augmenting path.
-        assert_eq!(net.max_flow(0, 2), 0);
-    }
-
-    #[test]
-    fn add_node_grows_network() {
-        let mut net = FlowNetwork::<u64>::new(2);
-        let v = net.add_node();
-        assert_eq!(v, 2);
-        net.add_edge(0, 2, 3);
-        net.add_edge(2, 1, 2);
-        assert_eq!(net.max_flow(0, 1), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "self-loops")]
-    fn self_loop_rejected() {
-        let mut net = FlowNetwork::<u64>::new(2);
-        net.add_edge(1, 1, 3);
-    }
-
-    #[test]
-    fn min_cut_matches_flow_value() {
-        let mut net = FlowNetwork::<u64>::new(4);
-        net.add_edge(0, 1, 3);
-        net.add_edge(0, 2, 2);
-        net.add_edge(1, 2, 5);
-        net.add_edge(1, 3, 2);
-        net.add_edge(2, 3, 3);
-        let f = net.max_flow(0, 3);
-        let cut = net.min_cut(0);
-        let cut_cap: u64 = cut.iter().map(|h| net.capacity(*h)).sum();
-        assert_eq!(cut_cap, f);
-        // every cut edge is saturated
-        for h in cut {
-            assert_eq!(net.flow(h), net.capacity(h));
-        }
-    }
-
-    #[test]
-    fn min_cut_on_bottleneck_is_the_bottleneck() {
-        let mut net = FlowNetwork::<u64>::new(4);
-        net.add_edge(0, 1, 10);
-        let mid = net.add_edge(1, 2, 1);
-        net.add_edge(2, 3, 10);
-        net.max_flow(0, 3);
-        let cut = net.min_cut(0);
-        assert_eq!(cut, vec![mid]);
-    }
-
-    #[test]
-    fn min_cut_rational() {
-        let mut net = FlowNetwork::<Rat>::new(3);
-        net.add_edge(0, 1, r(2, 3));
-        net.add_edge(0, 1, r(1, 6));
-        net.add_edge(1, 2, r(1, 2));
-        let f = net.max_flow(0, 2);
-        assert_eq!(f, r(1, 2));
-        let cut = net.min_cut(0);
-        let mut total = Rat::zero();
-        for h in &cut {
-            total += net.capacity(*h);
-        }
-        assert_eq!(total, f);
-    }
-
-    #[test]
-    fn out_capacity_reports_residual() {
-        let mut net = FlowNetwork::<u64>::new(3);
-        net.add_edge(0, 1, 5);
-        net.add_edge(1, 2, 3);
-        assert_eq!(net.out_capacity(0), 5);
-        net.max_flow(0, 2);
-        assert_eq!(net.out_capacity(0), 2); // 3 units consumed
-    }
-
-    #[test]
-    fn reset_restores_original_capacities() {
-        let mut net = FlowNetwork::<u64>::new(4);
-        let e1 = net.add_edge(0, 1, 3);
-        net.add_edge(0, 2, 2);
-        net.add_edge(1, 3, 2);
-        net.add_edge(2, 3, 3);
-        net.add_edge(1, 2, 5);
-        assert_eq!(net.max_flow(0, 3), 5);
-        net.reset();
-        assert_eq!(net.flow(e1), 0);
-        // The same max flow is found again from scratch.
-        assert_eq!(net.max_flow(0, 3), 5);
-    }
-
-    #[test]
-    fn set_capacity_rescales_after_reset() {
-        let mut net = FlowNetwork::<u64>::new(3);
-        net.add_edge(0, 1, 10);
-        let bottleneck = net.add_edge(1, 2, 1);
-        assert_eq!(net.max_flow(0, 2), 1);
-        net.reset();
-        net.set_capacity(bottleneck, 7);
-        assert_eq!(net.capacity(bottleneck), 7);
-        assert_eq!(net.max_flow(0, 2), 7);
-    }
-
-    #[test]
-    fn raise_capacity_continues_incrementally() {
-        let mut net = FlowNetwork::<u64>::new(3);
-        net.add_edge(0, 1, 10);
-        let bottleneck = net.add_edge(1, 2, 2);
-        assert_eq!(net.max_flow(0, 2), 2);
-        let before = net.augmentations();
-        net.raise_capacity(bottleneck, 6);
-        // Existing flow is kept: only the extra 4 units are found.
-        assert_eq!(net.max_flow(0, 2), 4);
-        assert_eq!(net.flow(bottleneck), 6);
-        assert!(net.augmentations() > before);
-    }
-
-    #[test]
-    #[should_panic(expected = "lower the capacity")]
-    fn raise_capacity_rejects_decrease() {
-        let mut net = FlowNetwork::<u64>::new(2);
-        let e = net.add_edge(0, 1, 5);
-        net.raise_capacity(e, 3);
-    }
-
-    #[test]
-    fn augmentations_count_paths() {
-        let mut net = FlowNetwork::<u64>::new(4);
-        net.add_edge(0, 1, 1);
-        net.add_edge(0, 2, 1);
-        net.add_edge(1, 3, 1);
-        net.add_edge(2, 3, 1);
-        assert_eq!(net.augmentations(), 0);
-        assert_eq!(net.max_flow(0, 3), 2);
-        assert_eq!(net.augmentations(), 2);
-        // Idempotent re-run finds no new paths.
-        net.max_flow(0, 3);
-        assert_eq!(net.augmentations(), 2);
-    }
-
-    #[test]
-    fn rational_reset_and_rescale() {
-        let mut net = FlowNetwork::<Rat>::new(3);
-        net.add_edge(0, 1, r(1, 2));
-        let e = net.add_edge(1, 2, r(1, 3));
-        assert_eq!(net.max_flow(0, 2), r(1, 3));
-        net.reset();
-        net.set_capacity(e, r(2, 5));
-        assert_eq!(net.max_flow(0, 2), r(2, 5));
-    }
-
-    #[test]
-    fn budgeted_cancellation_resumes_incrementally() {
-        use mm_fault::{Budget, BudgetExceeded, BudgetMeter};
-        // Four disjoint unit paths: the full flow needs 4 augmentations.
-        let mut net = FlowNetwork::<u64>::new(6);
-        for mid in 1..5 {
-            net.add_edge(0, mid, 1);
-            net.add_edge(mid, 5, 1);
-        }
-        let budget = Budget::unlimited().with_augmentations(2);
-        let mut meter = BudgetMeter::new(&budget);
-        let err = net.max_flow_budgeted(0, 5, &mut meter).unwrap_err();
-        assert!(matches!(err, BudgetExceeded::Augmentations { limit: 2 }));
-        // Cancellation leaves a valid partial flow; an unbudgeted follow-up
-        // call routes exactly the remaining 2 units.
-        assert_eq!(net.max_flow(0, 5), 2);
-        assert_eq!(net.augmentations(), 4);
-    }
-
-    #[test]
-    fn unlimited_meter_matches_max_flow() {
-        let mut a = FlowNetwork::<u64>::new(4);
-        let mut b = FlowNetwork::<u64>::new(4);
-        for net in [&mut a, &mut b] {
-            net.add_edge(0, 1, 3);
-            net.add_edge(0, 2, 2);
-            net.add_edge(1, 3, 2);
-            net.add_edge(2, 3, 3);
-            net.add_edge(1, 2, 5);
-        }
-        let mut meter = mm_fault::BudgetMeter::unlimited();
-        assert_eq!(a.max_flow_budgeted(0, 3, &mut meter).unwrap(), 5);
-        assert_eq!(b.max_flow(0, 3), 5);
-        assert_eq!(a.augmentations(), b.augmentations());
-    }
-}

@@ -1,7 +1,8 @@
-//! Property tests: Dinic vs an independent Edmonds–Karp reference on random
-//! graphs, plus min-cut consistency.
+//! Property tests: the arena's Dinic against an independent Edmonds–Karp
+//! reference on random graphs, its two production capacity types against
+//! each other, and per-edge flow validity.
 
-use mm_flow::{ArenaNetwork, FlowNetwork};
+use mm_flow::ArenaNetwork;
 use proptest::prelude::*;
 use std::collections::VecDeque;
 
@@ -60,7 +61,7 @@ proptest! {
     fn dinic_matches_edmonds_karp((n, edges) in arb_graph()) {
         let s = 0;
         let t = n - 1;
-        let mut net = FlowNetwork::<u64>::new(n);
+        let mut net = ArenaNetwork::<u64>::new(n);
         for &(u, v, c) in &edges {
             net.add_edge(u, v, c);
         }
@@ -71,37 +72,30 @@ proptest! {
 
     #[test]
     fn rational_scaling_invariance((n, edges) in arb_graph(), num in 1i64..20, den in 1i64..20) {
-        // max_flow(c * G) == c * max_flow(G) for rational c.
+        // The `i128` tick network and the `Rat` network scaled by `c` route
+        // the same augmenting paths: equal path counts, and every edge's
+        // rational flow is `c` times its tick flow.
         use mm_numeric::Rat;
         let s = 0;
         let t = n - 1;
         let c = Rat::ratio(num, den);
-        let mut int_net = FlowNetwork::<u64>::new(n);
-        let mut rat_net = FlowNetwork::<Rat>::new(n);
-        for &(u, v, w) in &edges {
-            int_net.add_edge(u, v, w);
-            rat_net.add_edge(u, v, Rat::from(w) * &c);
-        }
+        let scaled = |ticks: i128| Rat::from(i64::try_from(ticks).unwrap()) * &c;
+        let mut int_net = ArenaNetwork::<i128>::new(n);
+        let mut rat_net = ArenaNetwork::<Rat>::new(n);
+        let handles: Vec<_> = edges
+            .iter()
+            .map(|&(u, v, w)| {
+                let w = i128::from(w);
+                (int_net.add_edge(u, v, w), rat_net.add_edge(u, v, scaled(w)))
+            })
+            .collect();
         let f_int = int_net.max_flow(s, t);
         let f_rat = rat_net.max_flow(s, t);
-        prop_assert_eq!(f_rat, Rat::from(f_int) * &c);
-    }
-
-    #[test]
-    fn arena_matches_vec_network((n, edges) in arb_graph()) {
-        // The SoA arena must reproduce the old network's max-flow value —
-        // and, because it appends adjacency in insertion order, its exact
-        // augmenting-path count too.
-        let s = 0;
-        let t = n - 1;
-        let mut old = FlowNetwork::<u64>::new(n);
-        let mut arena = ArenaNetwork::<u64>::new(n);
-        for &(u, v, c) in &edges {
-            old.add_edge(u, v, c);
-            arena.add_edge(u, v, c);
+        prop_assert_eq!(f_rat, scaled(f_int));
+        prop_assert_eq!(rat_net.augmentations(), int_net.augmentations());
+        for (hi, hr) in handles {
+            prop_assert_eq!(rat_net.flow(hr), scaled(int_net.flow(hi)));
         }
-        prop_assert_eq!(arena.max_flow(s, t), old.max_flow(s, t));
-        prop_assert_eq!(arena.augmentations(), old.augmentations());
     }
 
     #[test]
@@ -125,7 +119,7 @@ proptest! {
     fn per_edge_flows_are_valid((n, edges) in arb_graph()) {
         let s = 0;
         let t = n - 1;
-        let mut net = FlowNetwork::<u64>::new(n);
+        let mut net = ArenaNetwork::<u64>::new(n);
         let handles: Vec<_> = edges.iter().map(|&(u, v, c)| (u, v, c, net.add_edge(u, v, c))).collect();
         let total = net.max_flow(s, t);
         // capacity constraints

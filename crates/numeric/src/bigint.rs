@@ -1169,7 +1169,6 @@ mod tests {
 
     #[test]
     fn forced_bigint_path_agrees() {
-        let _serial = crate::fastpath::test_lock();
         let vals = [
             0i128,
             1,

@@ -10,59 +10,80 @@
 //! two paths agree bit-for-bit. The only way to flip it is the scoped
 //! [`force_bigint`] guard.
 //!
-//! The flag is a process-global relaxed atomic: both settings compute
-//! identical values, so concurrent readers seeing a stale flag is
-//! correctness-neutral.
+//! The switch is per thread: a guard disables the fast path only on the
+//! thread that holds it, so guards on different threads cannot undo each
+//! other. Every guarded region runs on one thread (the solver and the
+//! arithmetic spawn none). Both settings compute identical values.
+//!
+//! On x86-64 Linux a thread-local read in a library crate compiles to a
+//! thread-pointer load, an offset and the load itself, which measurably
+//! slows the small-word operations that check the switch. So [`enabled`] first reads
+//! a process-wide count of live guards: while it is zero (outside the
+//! `force_bigint` fault site and the tests that flip the switch) the check
+//! is that one relaxed load, as with a global flag.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::cell::Cell;
+use std::marker::PhantomData;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
-static DISABLED: AtomicBool = AtomicBool::new(false);
+/// Guards alive on any thread. `Relaxed` suffices: it publishes no other
+/// data, a thread always sees its own increment (so a guarded thread reads
+/// its own flag), and a stale count on an unguarded thread leads to that
+/// thread's flag, which is `true` anyway.
+static GUARDS: AtomicUsize = AtomicUsize::new(0);
 
-/// Returns `true` iff the small-word fast path is active (the default).
+thread_local! {
+    /// This thread's setting; read only while some guard is alive.
+    static ENABLED: Cell<bool> = const { Cell::new(true) };
+}
+
+/// Returns `true` iff the small-word fast path is active on this thread
+/// (the default).
 #[inline]
 pub fn enabled() -> bool {
-    !DISABLED.load(Ordering::Relaxed)
+    GUARDS.load(Ordering::Relaxed) == 0 || enabled_on_this_thread()
 }
 
-fn set_enabled(on: bool) {
-    DISABLED.store(!on, Ordering::Relaxed);
+/// Out of line, so that call sites do not compute the thread-local's
+/// address on the common path.
+#[cold]
+#[inline(never)]
+fn enabled_on_this_thread() -> bool {
+    ENABLED.with(Cell::get)
 }
 
-/// Disables the fast path until the returned guard is dropped, restoring
-/// the previous setting afterwards.
+/// Disables the fast path on this thread until the returned guard is
+/// dropped, restoring the previous setting afterwards.
 pub fn force_bigint() -> ForceBigintGuard {
-    let was_enabled = enabled();
-    set_enabled(false);
-    ForceBigintGuard { was_enabled }
+    GUARDS.fetch_add(1, Ordering::Relaxed);
+    ForceBigintGuard {
+        was_enabled: ENABLED.replace(false),
+        _thread: PhantomData,
+    }
 }
 
 /// Guard returned by [`force_bigint`]; restores the prior setting on drop.
+/// It is not `Send`: it must drop on the thread whose switch it holds.
 #[must_use = "the fast path is re-enabled when the guard drops"]
 pub struct ForceBigintGuard {
     was_enabled: bool,
+    _thread: PhantomData<*const ()>,
 }
 
 impl Drop for ForceBigintGuard {
     fn drop(&mut self) {
-        set_enabled(self.was_enabled);
+        ENABLED.set(self.was_enabled);
+        GUARDS.fetch_sub(1, Ordering::Relaxed);
     }
-}
-
-/// Serialises unit tests that toggle the global flag, so tests asserting
-/// `enabled()` don't race with concurrently-held guards in other tests.
-#[cfg(test)]
-pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Arc, Barrier};
 
     #[test]
     fn guard_restores_previous_setting() {
-        let _serial = test_lock();
         assert!(enabled());
         {
             let _g = force_bigint();
@@ -74,5 +95,46 @@ mod tests {
             assert!(!enabled());
         }
         assert!(enabled());
+    }
+
+    /// Two threads take overlapping guards and drop them in the order they
+    /// took them: A takes, B takes, A drops, B drops. With one process-wide
+    /// switch, B would save A's `false` and restore it last, leaving the
+    /// fast path off everywhere.
+    #[test]
+    fn overlapping_guards_on_two_threads_restore_both() {
+        let barrier = Arc::new(Barrier::new(2));
+        let a = {
+            let barrier = Arc::clone(&barrier);
+            std::thread::spawn(move || {
+                let guard = force_bigint();
+                barrier.wait(); // A holds its guard.
+                barrier.wait(); // B holds its guard.
+                drop(guard);
+                barrier.wait(); // A has dropped; B drops next.
+                enabled()
+            })
+        };
+        let b = {
+            let barrier = Arc::clone(&barrier);
+            std::thread::spawn(move || {
+                barrier.wait();
+                let guard = force_bigint();
+                barrier.wait();
+                barrier.wait();
+                drop(guard);
+                enabled()
+            })
+        };
+        assert!(a.join().unwrap());
+        assert!(b.join().unwrap());
+        assert!(enabled());
+    }
+
+    #[test]
+    fn a_guard_leaves_other_threads_on_the_fast_path() {
+        let _g = force_bigint();
+        assert!(!enabled());
+        assert!(std::thread::spawn(enabled).join().unwrap());
     }
 }

@@ -243,9 +243,8 @@ fn ticks_for(instance: &Instance, pts: &[Rat]) -> Option<(Timeline, Vec<i64>, Ve
 }
 
 /// Builds one backend core over the shared node layout. Edges are inserted
-/// in the same order as the historical `Vec<Vec<Edge>>` build (source→job
-/// and job→interval per job, then interval→sink), so Dinic explores
-/// identically on either backend.
+/// in one fixed order (source→job and job→interval per job, then
+/// interval→sink), so Dinic explores identically on either backend.
 #[allow(clippy::too_many_arguments)]
 fn build_core<N: FlowNum>(
     instance: &Instance,

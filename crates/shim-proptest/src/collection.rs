@@ -5,7 +5,7 @@ use core::ops::{Range, RangeInclusive};
 use crate::strategy::Strategy;
 use crate::test_runner::TestRng;
 
-/// Length specifications accepted by [`vec`].
+/// Length specifications accepted by [`vec()`].
 pub trait SizeRange {
     /// Draws a length.
     fn draw_len(&self, rng: &mut TestRng) -> usize;
@@ -35,7 +35,7 @@ pub fn vec<S: Strategy, R: SizeRange>(element: S, size: R) -> VecStrategy<S, R> 
     VecStrategy { element, size }
 }
 
-/// See [`vec`].
+/// See [`vec()`].
 pub struct VecStrategy<S, R> {
     element: S,
     size: R,

@@ -5,7 +5,7 @@
 //!
 //! * the [`proptest!`] macro (with optional `#![proptest_config(...)]`),
 //! * [`prop_assert!`] / [`prop_assert_eq!`] / [`prop_assert_ne!`],
-//! * strategies: integer ranges, [`any`](arbitrary::any), [`Just`],
+//! * strategies: integer ranges, [`any`](arbitrary::any), [`Just`](strategy::Just),
 //!   tuples, [`collection::vec`], `prop_map`, `prop_filter`,
 //!   `prop_flat_map`, [`prop_oneof!`], and boxed strategies.
 //!

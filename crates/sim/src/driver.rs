@@ -344,7 +344,7 @@ impl<P: OnlinePolicy, S: TraceSink> Simulation<P, S> {
     /// Arms deterministic fault injection: each decision step that assigns
     /// work registers one hit at [`FaultSite::MachineFailure`] and one at
     /// [`FaultSite::MachineSlowdown`], and a firing rule degrades that step
-    /// (see [`Simulation::advance_once`] internals): a *failed* machine does
+    /// (in `Simulation::advance_once`): a *failed* machine does
     /// no work until the next event; a *slowed* machine runs at half speed.
     /// Both are recorded as [`TraceEvent::FaultInjected`] and never produce a
     /// [`SimError`] — consequences surface as ordinary deadline misses.

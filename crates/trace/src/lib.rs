@@ -154,7 +154,7 @@ pub enum TraceEvent {
     BudgetExceeded {
         /// Where the budget ran out (e.g. `"probe"`, `"search"`, `"sim"`).
         site: &'static str,
-        /// Which limit tripped (a [`mm-fault`] `BudgetExceeded` tag:
+        /// Which limit tripped (an `mm-fault` `BudgetExceeded` tag:
         /// `steps`, `augmentations`, `wall_clock`, `network_nodes`, or
         /// `fault_injected`).
         reason: &'static str,

@@ -325,206 +325,250 @@ pub enum Command {
     Help,
 }
 
-fn flag(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
+/// Reads one command's flags and records every token it read, so that a
+/// `--` token the command never read (a misspelt flag, or one that belongs
+/// to another command) is a usage error instead of a silent no-op.
+struct Flags<'a> {
+    args: &'a [String],
+    read: Vec<bool>,
 }
 
-/// Like [`flag`], but a flag present without a value is an error instead of
-/// being silently ignored (a typo'd `--trace` must not drop the trace).
-fn value_flag(args: &[String], name: &str) -> Result<Option<String>, Error> {
-    match args.iter().position(|a| a == name) {
-        None => Ok(None),
-        Some(i) => match args.get(i + 1) {
-            Some(v) => Ok(Some(v.clone())),
-            None => Err(Error::Usage(format!("{name} requires a value"))),
-        },
+impl<'a> Flags<'a> {
+    fn new(args: &'a [String]) -> Self {
+        Flags {
+            args,
+            read: vec![false; args.len()],
+        }
     }
-}
 
-/// A numeric [`value_flag`]; a present-but-unparsable value is a usage error.
-fn num_flag<T: std::str::FromStr>(args: &[String], name: &str) -> Result<Option<T>, Error> {
-    match value_flag(args, name)? {
-        None => Ok(None),
-        Some(v) => v
-            .parse::<T>()
-            .map(Some)
-            .map_err(|_| Error::Usage(format!("invalid {name} value: {v}"))),
+    /// Marks every occurrence of `name` read; returns the first one's index.
+    fn find(&mut self, name: &str) -> Option<usize> {
+        let mut first = None;
+        for (i, a) in self.args.iter().enumerate() {
+            if a == name {
+                self.read[i] = true;
+                first.get_or_insert(i);
+            }
+        }
+        first
+    }
+
+    /// Whether the switch `name` is present.
+    fn switch(&mut self, name: &str) -> bool {
+        self.find(name).is_some()
+    }
+
+    /// The value after the first `name`. A flag present without a value is
+    /// an error, not a silent no-op (a typo'd `--trace` must not drop the
+    /// trace).
+    fn value(&mut self, name: &str) -> Result<Option<String>, Error> {
+        let Some(i) = self.find(name) else {
+            return Ok(None);
+        };
+        match self.args.get(i + 1) {
+            Some(v) => {
+                self.read[i + 1] = true;
+                Ok(Some(v.clone()))
+            }
+            None => Err(Error::Usage(format!("{name} requires a value"))),
+        }
+    }
+
+    /// A numeric [`Self::value`]; a present-but-unparsable value is a usage
+    /// error.
+    fn num<T: std::str::FromStr>(&mut self, name: &str) -> Result<Option<T>, Error> {
+        match self.value(name)? {
+            None => Ok(None),
+            Some(v) => v
+                .parse::<T>()
+                .map(Some)
+                .map_err(|_| Error::Usage(format!("invalid {name} value: {v}"))),
+        }
+    }
+
+    /// Returns `command` unless a `--` token was never read.
+    fn finish(self, command: Command) -> Result<Command, Error> {
+        match (1..self.args.len()).find(|&i| !self.read[i] && self.args[i].starts_with("--")) {
+            None => Ok(command),
+            Some(i) => Err(Error::Usage(format!(
+                "unknown flag `{}` for `{}`; run `machmin help`",
+                self.args[i], self.args[0]
+            ))),
+        }
     }
 }
 
 /// Parses raw arguments (without the program name).
 pub fn parse(args: &[String]) -> Result<Command, Error> {
     let cmd = args.first().map(String::as_str).unwrap_or("help");
-    match cmd {
-        "help" | "--help" | "-h" => Ok(Command::Help),
+    let mut f = Flags::new(args);
+    let command = match cmd {
+        "help" | "--help" | "-h" => return Ok(Command::Help),
         "solve" => {
             let mut budget: Option<Budget> = None;
-            if let Some(n) = num_flag::<u64>(args, "--budget-augmentations")? {
+            if let Some(n) = f.num::<u64>("--budget-augmentations")? {
                 budget = Some(
                     budget
                         .unwrap_or_else(Budget::unlimited)
                         .with_augmentations(n),
                 );
             }
-            if let Some(ms) = num_flag::<u64>(args, "--budget-ms")? {
+            if let Some(ms) = f.num::<u64>("--budget-ms")? {
                 budget = Some(budget.unwrap_or_else(Budget::unlimited).with_probe_ms(ms));
             }
-            if let Some(n) = num_flag::<usize>(args, "--budget-nodes")? {
+            if let Some(n) = f.num::<usize>("--budget-nodes")? {
                 budget = Some(
                     budget
                         .unwrap_or_else(Budget::unlimited)
                         .with_network_nodes(n),
                 );
             }
-            let attempts = num_flag::<u32>(args, "--attempts")?.unwrap_or(3);
+            let attempts = f.num::<u32>("--attempts")?.unwrap_or(3);
             if attempts == 0 {
                 return Err(Error::Usage("--attempts must be at least 1".into()));
             }
-            Ok(Command::Solve {
+            Command::Solve {
                 path: args.get(1).cloned().ok_or_else(usage_solve)?,
                 budget,
                 attempts,
-                trace: value_flag(args, "--trace")?,
-                metrics: value_flag(args, "--metrics")?,
-            })
+                trace: f.value("--trace")?,
+                metrics: f.value("--metrics")?,
+            }
         }
-        "classify" => Ok(Command::Classify {
+        "classify" => Command::Classify {
             path: args.get(1).cloned().ok_or_else(usage_classify)?,
-        }),
-        "demigrate" => Ok(Command::Demigrate {
+        },
+        "demigrate" => Command::Demigrate {
             path: args
                 .get(1)
                 .cloned()
                 .ok_or_else(|| Error::Usage("usage: machmin demigrate <instance.json>".into()))?,
-        }),
+        },
         "schedule" => {
             let path = args.get(1).cloned().ok_or_else(usage_schedule)?;
-            let policy = flag(args, "--policy").ok_or_else(usage_schedule)?;
-            let machines = num_flag::<usize>(args, "--machines")?;
-            Ok(Command::Schedule {
+            let policy = f.value("--policy")?.ok_or_else(usage_schedule)?;
+            let machines = f.num::<usize>("--machines")?;
+            Command::Schedule {
                 path,
                 policy,
                 machines,
-                trace: value_flag(args, "--trace")?,
-                metrics: value_flag(args, "--metrics")?,
-            })
+                trace: f.value("--trace")?,
+                metrics: f.value("--metrics")?,
+            }
         }
         "generate" => {
             let family = args.get(1).cloned().ok_or_else(usage_generate)?;
-            let n = num_flag::<usize>(args, "--n")?.unwrap_or(50);
-            let seed = num_flag::<u64>(args, "--seed")?.unwrap_or(0);
-            let out = flag(args, "--out").ok_or_else(usage_generate)?;
-            Ok(Command::Generate {
+            let n = f.num::<usize>("--n")?.unwrap_or(50);
+            let seed = f.num::<u64>("--seed")?.unwrap_or(0);
+            let out = f.value("--out")?.ok_or_else(usage_generate)?;
+            Command::Generate {
                 family,
                 n,
                 seed,
                 out,
-            })
+            }
         }
         "adversary" => {
-            let policy = flag(args, "--policy").ok_or_else(usage_adversary)?;
-            let k = num_flag::<usize>(args, "--k")?.unwrap_or(4);
+            let policy = f.value("--policy")?.ok_or_else(usage_adversary)?;
+            let k = f.num::<usize>("--k")?.unwrap_or(4);
             if k < 2 {
                 return Err(Error::Usage("--k must be at least 2".into()));
             }
-            let machines = num_flag::<usize>(args, "--machines")?.unwrap_or(16);
-            let checkpoint = value_flag(args, "--checkpoint")?;
-            let resume = args.iter().any(|a| a == "--resume");
+            let machines = f.num::<usize>("--machines")?.unwrap_or(16);
+            let checkpoint = f.value("--checkpoint")?;
+            let resume = f.switch("--resume");
             if resume && checkpoint.is_none() {
                 return Err(Error::Usage("--resume requires --checkpoint".into()));
             }
-            Ok(Command::Adversary {
+            Command::Adversary {
                 policy,
                 k,
                 machines,
                 checkpoint,
                 resume,
-                export_stream: value_flag(args, "--export-stream")?,
-                trace: value_flag(args, "--trace")?,
-                metrics: value_flag(args, "--metrics")?,
-            })
+                export_stream: f.value("--export-stream")?,
+                trace: f.value("--trace")?,
+                metrics: f.value("--metrics")?,
+            }
         }
         "online" => {
             let mode = args.get(1).cloned().ok_or_else(usage_online)?;
             if mode != "run" && mode != "race" {
                 return Err(usage_online());
             }
-            let stream = value_flag(args, "--stream")?;
+            let stream = f.value("--stream")?;
             if mode == "run" && stream.is_none() {
                 return Err(Error::Usage("online run requires --stream f.jsonl".into()));
             }
-            let k = num_flag::<usize>(args, "--k")?.unwrap_or(4);
+            let k = f.num::<usize>("--k")?.unwrap_or(4);
             if k < 2 {
                 return Err(Error::Usage("--k must be at least 2".into()));
             }
-            Ok(Command::Online {
+            Command::Online {
                 mode,
                 stream,
-                member: value_flag(args, "--member")?.unwrap_or_else(|| "auto".into()),
-                seed: num_flag::<u64>(args, "--seed")?.unwrap_or(7),
-                n: num_flag::<usize>(args, "--n")?.unwrap_or(40).max(1),
+                member: f.value("--member")?.unwrap_or_else(|| "auto".into()),
+                seed: f.num::<u64>("--seed")?.unwrap_or(7),
+                n: f.num::<usize>("--n")?.unwrap_or(40).max(1),
                 k,
-                members: value_flag(args, "--members")?.unwrap_or_else(|| "all".into()),
-                out: value_flag(args, "--out")?,
-                trace: value_flag(args, "--trace")?,
-                metrics: value_flag(args, "--metrics")?,
-            })
+                members: f.value("--members")?.unwrap_or_else(|| "all".into()),
+                out: f.value("--out")?,
+                trace: f.value("--trace")?,
+                metrics: f.value("--metrics")?,
+            }
         }
-        "chaos" => Ok(Command::Chaos {
-            seed: num_flag::<u64>(args, "--seed")?.unwrap_or(0),
-            n: num_flag::<usize>(args, "--n")?.unwrap_or(16).max(1),
-            plan: value_flag(args, "--plan")?,
-            trace: value_flag(args, "--trace")?,
-            metrics: value_flag(args, "--metrics")?,
-        }),
-        "bench" => match args.get(1) {
-            None => Ok(Command::Bench),
-            Some(arg) => Err(Error::Usage(format!(
-                "bench takes no arguments (got `{arg}`); usage: machmin bench"
-            ))),
+        "chaos" => Command::Chaos {
+            seed: f.num::<u64>("--seed")?.unwrap_or(0),
+            n: f.num::<usize>("--n")?.unwrap_or(16).max(1),
+            plan: f.value("--plan")?,
+            trace: f.value("--trace")?,
+            metrics: f.value("--metrics")?,
         },
+        "bench" => {
+            return match args.get(1) {
+                None => Ok(Command::Bench),
+                Some(arg) => Err(Error::Usage(format!(
+                    "bench takes no arguments (got `{arg}`); usage: machmin bench"
+                ))),
+            }
+        }
         "certcheck" => {
-            let pool = args.iter().any(|a| a == "--pool");
-            let corrupt = args.iter().any(|a| a == "--corrupt");
+            let pool = f.switch("--pool");
+            let corrupt = f.switch("--corrupt");
             if corrupt && !pool {
                 return Err(Error::Usage("--corrupt requires --pool".into()));
             }
-            Ok(Command::CertCheck {
-                seed: num_flag::<u64>(args, "--seed")?.unwrap_or(1),
-                cases: num_flag::<usize>(args, "--cases")?.unwrap_or(25).max(1),
+            Command::CertCheck {
+                seed: f.num::<u64>("--seed")?.unwrap_or(1),
+                cases: f.num::<usize>("--cases")?.unwrap_or(25).max(1),
                 pool,
                 corrupt,
-                out: value_flag(args, "--out")?,
-            })
+                out: f.value("--out")?,
+            }
         }
         "serve" => {
-            let chaos = args.iter().any(|a| a == "--chaos");
-            let plan = value_flag(args, "--plan")?;
+            let chaos = f.switch("--chaos");
+            let plan = f.value("--plan")?;
             if chaos && plan.is_some() {
                 return Err(Error::Usage(
                     "--chaos and --plan are mutually exclusive".into(),
                 ));
             }
-            Ok(Command::Serve {
-                addr: value_flag(args, "--addr")?.unwrap_or_else(|| "127.0.0.1:0".into()),
-                workers: num_flag::<usize>(args, "--workers")?.unwrap_or(2).max(1),
-                queue_cap: num_flag::<usize>(args, "--queue-cap")?.unwrap_or(16).max(1),
-                drain_ms: num_flag::<u64>(args, "--drain-ms")?.unwrap_or(2_000),
-                seed: num_flag::<u64>(args, "--seed")?.unwrap_or(0),
-                retry_attempts: num_flag::<u32>(args, "--retry-attempts")?
-                    .unwrap_or(3)
-                    .max(1),
+            Command::Serve {
+                addr: f.value("--addr")?.unwrap_or_else(|| "127.0.0.1:0".into()),
+                workers: f.num::<usize>("--workers")?.unwrap_or(2).max(1),
+                queue_cap: f.num::<usize>("--queue-cap")?.unwrap_or(16).max(1),
+                drain_ms: f.num::<u64>("--drain-ms")?.unwrap_or(2_000),
+                seed: f.num::<u64>("--seed")?.unwrap_or(0),
+                retry_attempts: f.num::<u32>("--retry-attempts")?.unwrap_or(3).max(1),
                 chaos,
                 plan,
-                journal: value_flag(args, "--journal")?,
-                deadline_ms: num_flag::<u64>(args, "--deadline-ms")?,
-                port_file: value_flag(args, "--port-file")?,
-                trace: value_flag(args, "--trace")?,
-                metrics: value_flag(args, "--metrics")?,
-            })
+                journal: f.value("--journal")?,
+                deadline_ms: f.num::<u64>("--deadline-ms")?,
+                port_file: f.value("--port-file")?,
+                trace: f.value("--trace")?,
+                metrics: f.value("--metrics")?,
+            }
         }
         "cluster" => {
             let workload = args.get(1).cloned().ok_or_else(usage_cluster)?;
@@ -546,7 +590,8 @@ pub fn parse(args: &[String]) -> Result<Command, Error> {
             } else {
                 None
             };
-            let backends: Vec<String> = value_flag(args, "--backends")?
+            let backends: Vec<String> = f
+                .value("--backends")?
                 .ok_or_else(usage_cluster)?
                 .split(',')
                 .map(|s| s.trim().to_string())
@@ -557,8 +602,8 @@ pub fn parse(args: &[String]) -> Result<Command, Error> {
                     "--backends needs at least one host:port".into(),
                 ));
             }
-            let hedge_every = num_flag::<u64>(args, "--hedge-every")?;
-            let hedge_p99 = num_flag::<u64>(args, "--hedge-p99")?;
+            let hedge_every = f.num::<u64>("--hedge-every")?;
+            let hedge_p99 = f.num::<u64>("--hedge-p99")?;
             if hedge_every.is_some() && hedge_p99.is_some() {
                 return Err(Error::Usage(
                     "--hedge-every and --hedge-p99 are mutually exclusive".into(),
@@ -567,24 +612,25 @@ pub fn parse(args: &[String]) -> Result<Command, Error> {
             if hedge_every == Some(0) {
                 return Err(Error::Usage("--hedge-every must be at least 1".into()));
             }
-            let chaos = args.iter().any(|a| a == "--chaos");
-            let plan = value_flag(args, "--plan")?;
+            let chaos = f.switch("--chaos");
+            let plan = f.value("--plan")?;
             if chaos && plan.is_some() {
                 return Err(Error::Usage(
                     "--chaos and --plan are mutually exclusive".into(),
                 ));
             }
-            let k = num_flag::<usize>(args, "--k")?.unwrap_or(4);
+            let k = f.num::<usize>("--k")?.unwrap_or(4);
             if k < 2 {
                 return Err(Error::Usage("--k must be at least 2".into()));
             }
-            let checkpoint = value_flag(args, "--checkpoint")?;
-            let resume = args.iter().any(|a| a == "--resume");
+            let checkpoint = f.value("--checkpoint")?;
+            let resume = f.switch("--resume");
             if resume && checkpoint.is_none() {
                 return Err(Error::Usage("--resume requires --checkpoint".into()));
             }
-            let churn = value_flag(args, "--churn")?;
-            let spares: Vec<String> = value_flag(args, "--spares")?
+            let churn = f.value("--churn")?;
+            let spares: Vec<String> = f
+                .value("--spares")?
                 .map(|s| {
                     s.split(',')
                         .map(|a| a.trim().to_string())
@@ -595,51 +641,55 @@ pub fn parse(args: &[String]) -> Result<Command, Error> {
             if !spares.is_empty() && churn.is_none() {
                 return Err(Error::Usage("--spares requires --churn".into()));
             }
-            Ok(Command::Cluster {
+            Command::Cluster {
                 workload,
                 path,
                 backends,
-                balance: value_flag(args, "--balance")?.unwrap_or_else(|| "round-robin".into()),
-                seed: num_flag::<u64>(args, "--seed")?.unwrap_or(0),
-                window: num_flag::<usize>(args, "--window")?.unwrap_or(8).max(1),
+                balance: f
+                    .value("--balance")?
+                    .unwrap_or_else(|| "round-robin".into()),
+                seed: f.num::<u64>("--seed")?.unwrap_or(0),
+                window: f.num::<usize>("--window")?.unwrap_or(8).max(1),
                 hedge_every,
                 hedge_p99,
-                hedge_floor_ms: num_flag::<u64>(args, "--hedge-floor-ms")?.unwrap_or(10),
+                hedge_floor_ms: f.num::<u64>("--hedge-floor-ms")?.unwrap_or(10),
                 chaos,
                 plan,
-                deadline_ms: num_flag::<u64>(args, "--deadline-ms")?,
-                policies: value_flag(args, "--policies")?.unwrap_or_else(|| "edf-ff".into()),
+                deadline_ms: f.num::<u64>("--deadline-ms")?,
+                policies: f.value("--policies")?.unwrap_or_else(|| "edf-ff".into()),
                 k,
-                machines: num_flag::<usize>(args, "--machines")?.unwrap_or(16),
+                machines: f.num::<usize>("--machines")?.unwrap_or(16),
                 checkpoint,
                 resume,
-                families: value_flag(args, "--families")?
+                families: f
+                    .value("--families")?
                     .unwrap_or_else(|| "uniform,agreeable,loose".into()),
-                seeds: num_flag::<u64>(args, "--seeds")?.unwrap_or(3).max(1),
-                n: num_flag::<usize>(args, "--n")?.unwrap_or(12).max(1),
-                members: value_flag(args, "--members")?.unwrap_or_else(|| "all".into()),
+                seeds: f.num::<u64>("--seeds")?.unwrap_or(3).max(1),
+                n: f.num::<usize>("--n")?.unwrap_or(12).max(1),
+                members: f.value("--members")?.unwrap_or_else(|| "all".into()),
                 churn,
                 spares,
-                migration_budget: num_flag::<u64>(args, "--migration-budget")?.unwrap_or(64),
-                verify: value_flag(args, "--verify")?.unwrap_or_else(|| "off".into()),
-                out: value_flag(args, "--out")?,
-                trace: value_flag(args, "--trace")?,
-                metrics: value_flag(args, "--metrics")?,
-            })
+                migration_budget: f.num::<u64>("--migration-budget")?.unwrap_or(64),
+                verify: f.value("--verify")?.unwrap_or_else(|| "off".into()),
+                out: f.value("--out")?,
+                trace: f.value("--trace")?,
+                metrics: f.value("--metrics")?,
+            }
         }
-        "load" => Ok(Command::Load {
-            addr: value_flag(args, "--addr")?.ok_or_else(usage_load)?,
-            n: num_flag::<usize>(args, "--n")?.unwrap_or(100).max(1),
-            seed: num_flag::<u64>(args, "--seed")?.unwrap_or(0),
-            paced: args.iter().any(|a| a == "--paced"),
-            window: num_flag::<usize>(args, "--window")?.unwrap_or(8).max(1),
-            deadline_ms: num_flag::<u64>(args, "--deadline-ms")?,
-            out: value_flag(args, "--out")?,
-            hist: value_flag(args, "--hist")?,
-            shutdown: !args.iter().any(|a| a == "--no-shutdown"),
-        }),
+        "load" => Command::Load {
+            addr: f.value("--addr")?.ok_or_else(usage_load)?,
+            n: f.num::<usize>("--n")?.unwrap_or(100).max(1),
+            seed: f.num::<u64>("--seed")?.unwrap_or(0),
+            paced: f.switch("--paced"),
+            window: f.num::<usize>("--window")?.unwrap_or(8).max(1),
+            deadline_ms: f.num::<u64>("--deadline-ms")?,
+            out: f.value("--out")?,
+            hist: f.value("--hist")?,
+            shutdown: !f.switch("--no-shutdown"),
+        },
         "top" => {
-            let backends: Vec<String> = value_flag(args, "--backends")?
+            let backends: Vec<String> = f
+                .value("--backends")?
                 .ok_or_else(usage_top)?
                 .split(',')
                 .map(|s| s.trim().to_string())
@@ -650,16 +700,19 @@ pub fn parse(args: &[String]) -> Result<Command, Error> {
                     "--backends needs at least one host:port".into(),
                 ));
             }
-            Ok(Command::Top {
+            Command::Top {
                 backends,
-                interval_s: num_flag::<u64>(args, "--interval-s")?.unwrap_or(0),
-                frames: num_flag::<u64>(args, "--frames")?.unwrap_or(0),
-            })
+                interval_s: f.num::<u64>("--interval-s")?.unwrap_or(0),
+                frames: f.num::<u64>("--frames")?.unwrap_or(0),
+            }
         }
-        other => Err(Error::Usage(format!(
-            "unknown command `{other}`; run `machmin help`"
-        ))),
-    }
+        other => {
+            return Err(Error::Usage(format!(
+                "unknown command `{other}`; run `machmin help`"
+            )))
+        }
+    };
+    f.finish(command)
 }
 
 fn usage_solve() -> Error {
@@ -2619,6 +2672,23 @@ mod tests {
             "{err}"
         );
         assert!(parse(&argv("solve a.json --metrics")).is_err());
+        // A flag the command never reads is a usage error naming it: a
+        // misspelt one, or one that belongs to another command. A flag's
+        // value may itself start with `--`.
+        for (line, token) in [
+            ("solve a.json --tracee t.jsonl", "--tracee"),
+            ("serve --port 7802", "--port"),
+            ("adversary --policy edf-ff --k 3 --seed 5", "--seed"),
+            ("classify a.json --trace t.jsonl", "--trace"),
+        ] {
+            let err = parse(&argv(line)).unwrap_err();
+            assert_eq!(err.tag(), "usage", "{line}");
+            assert!(err.to_string().contains(&format!("`{token}`")), "{err}");
+        }
+        assert!(matches!(
+            parse(&argv("generate uniform --out --x.json")).unwrap(),
+            Command::Generate { out, .. } if out == "--x.json"
+        ));
         // empty argv = help
         assert_eq!(parse(&[]).unwrap(), Command::Help);
     }
